@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import legendre_residual
+from .duality import legendre_residual, legendre_roundtrip
 from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
 from .gibbs import entropy, gibbs_distribution, gibbs_summary, mean_energy
 from .microstates import (
@@ -26,8 +26,8 @@ from .microstates import (
     sample_counts,
 )
 from .moment_solver import SolveOptions, invert_mean_energy
-from .polytope import convex_hull, min_face, tropical_limit
-from .state_space import StateSet, state_set_from_json
+from .polytope import _limit_face, convex_hull
+from .state_space import state_set_from_json
 from .toric import moment_of_beta, positive_point
 
 SCHEMA = "moment-gibbs/v1"
@@ -204,9 +204,7 @@ def cmd_limit(doc, direction: str) -> CommandResult:
     """Low-temperature limit of the mean energy along a direction."""
     try:
         A = state_set_from_json(doc)
-        d = _parse_vector(direction, "direction")
-        tropical_limit(A, d)  # rejects zero directions
-        face = min_face(A, d)
+        face = _limit_face(A, _parse_vector(direction, "direction"))
     except ValueError as exc:
         return _error_result(exc)
     payload = _to_json(
@@ -286,10 +284,7 @@ def cmd_check(doc, points: int = 100) -> CommandResult:
     try:
         for b in betas:
             max_residual = max(max_residual, abs(legendre_residual(A, b)))
-            target = mean_energy(A, b)
-            recovered = invert_mean_energy(A, target).beta
-            err = float(np.linalg.norm(mean_energy(A, recovered) - target))
-            max_roundtrip = max(max_roundtrip, err)
+            max_roundtrip = max(max_roundtrip, legendre_roundtrip(A, mean_energy(A, b)))
     except (ValueError, NoConvergence) as exc:
         return _error_result(exc)
     passed = max_residual <= _CHECK_RESIDUAL_TOL and max_roundtrip <= _CHECK_ROUNDTRIP_TOL

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import BadSplit, NotNegativeDefinite
 from .gibbs import gibbs_summary, mean_energy
@@ -88,6 +87,8 @@ def quadratic_direct_image(f: QuadraticForm, kept: int) -> QuadraticForm:
     orthonormal change of basis aligning its fibers with the dropped
     coordinates; performing that change is the caller's job.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     n = f.dim
     if isinstance(kept, bool) or not isinstance(kept, (int, np.integer)) or not 1 <= kept < n:
         raise BadSplit(f"kept must be an integer in [1, {n - 1}], got {kept!r}")
@@ -97,7 +98,7 @@ def quadratic_direct_image(f: QuadraticForm, kept: int) -> QuadraticForm:
     trail = m[kept:, kept:]
     try:
         factor = cho_factor(trail, lower=True)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         raise NotNegativeDefinite("trailing block is not positive definite") from None
     schur = lead - cross @ cho_solve(factor, cross.T)
     return QuadraticForm((schur + schur.T) / 2.0)

@@ -68,6 +68,17 @@ def _normalized(log_w: np.ndarray) -> tuple[float, np.ndarray]:
     return log_z, np.exp(log_w - log_z)
 
 
+def _covariance(pts: np.ndarray, p: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    # symmetrized so rounding never leaves the result asymmetric
+    centered = pts - mean
+    cov = centered.T @ (centered * p[:, None])
+    return (cov + cov.T) / 2.0
+
+
+def _entropy(p: np.ndarray) -> float:
+    return float(-xlogy(p, p).sum() + 0.0)  # +0.0 avoids -0.0
+
+
 def log_partition(A: StateSet, beta) -> float:
     """log of the Boltzmann sum over states, sum_w exp(-(beta, w))."""
     log_z, _ = _normalized(_log_weights(A, beta))
@@ -102,23 +113,17 @@ def energy_covariance(A: StateSet, beta) -> np.ndarray:
     and minus the Jacobian of `mean_energy`.
     """
     _, p = _normalized(_log_weights(A, beta))
-    mean = p @ A.points
-    centered = A.points - mean
-    cov = centered.T @ (centered * p[:, None])
-    return (cov + cov.T) / 2.0
+    return _covariance(A.points, p, p @ A.points)
 
 
 def entropy(p: Distribution) -> float:
     """Shannon entropy in nats, with the 0*log(0) = 0 convention."""
-    return float(-xlogy(p.probs, p.probs).sum() + 0.0)  # +0.0 avoids -0.0
+    return _entropy(p.probs)
 
 
 def gibbs_summary(A: StateSet, beta) -> GibbsSummary:
     """All forward quantities from a single pass over the states."""
     log_z, probs = _normalized(_log_weights(A, beta))
-    dist = Distribution(probs, A)
     mean = probs @ A.points
-    centered = A.points - mean
-    cov = centered.T @ (centered * probs[:, None])
-    cov = (cov + cov.T) / 2.0
-    return GibbsSummary(log_z, dist, mean, cov, entropy(dist))
+    cov = _covariance(A.points, probs, mean)
+    return GibbsSummary(log_z, Distribution(probs, A), mean, cov, _entropy(probs))

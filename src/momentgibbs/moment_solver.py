@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import xlogy
 
 from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
-from .polytope import convex_hull, interior_margin
+from .gibbs import _covariance, _entropy, _normalized
+from .polytope import _span_violation, convex_hull, interior_margin
 from .state_space import CoVector, StateSet, affine_frame, point_array
 
 # targets closer to the boundary than this (relative to hull diameter) are
@@ -29,26 +28,27 @@ from .state_space import CoVector, StateSet, affine_frame, point_array
 _BOUNDARY_REL = 1e-9
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-14
+_SHRINK = 0.5  # backtracking factor of the line search
+_RIDGE_FLOOR = 1e-12  # first ridge, relative to the mean Hessian eigenvalue
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the Newton solve; defaults suit desk-scale problems."""
+    """Stopping rule of the Newton solve; defaults suit desk-scale problems.
+
+    `grad_tol` bounds the convergence metric (see `SolveReport.grad_norm`)
+    and must lie in (0, 1); `max_iter` caps the Newton iterations and must be
+    positive.
+    """
 
     grad_tol: float = 1e-10
     max_iter: int = 100
-    line_search_shrink: float = 0.5
-    regularization_floor: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 < self.grad_tol < 1.0):
             raise ValueError("grad_tol must lie in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if not (0.0 < self.line_search_shrink < 1.0):
-            raise ValueError("line_search_shrink must lie in (0, 1)")
-        if self.regularization_floor <= 0.0:
-            raise ValueError("regularization_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,9 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
     t_full = point_array(target, A.dim)
     hull = convex_hull(A)
 
-    if hull.span_equations:
-        # same threshold as interior_margin's span check, so that call below
-        # can never raise OffAffineSpan past this guard
-        off = max(abs(float(eq.normal @ t_full) - eq.offset) for eq in hull.span_equations)
-        if off > 1e-9:
-            raise TargetOutsideHull(
-                -off, f"target is {off:.3g} off the affine span of the states"
-            )
+    off = _span_violation(hull, t_full)
+    if off:
+        raise TargetOutsideHull(-off, f"target is {off:.3g} off the affine span of the states")
 
     margin = interior_margin(hull, t_full)
     btol = _BOUNDARY_REL * hull.diameter
@@ -128,7 +123,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
 
     scale = hull.diameter
     beta = np.zeros(d)
-    log_z, p = _parts(pts, beta)
+    log_z, p = _normalized(-(pts @ beta))
     iterations = 0
     converged = False
     grad_norm = np.inf
@@ -142,10 +137,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
             break
         iterations += 1
 
-        centered = pts - mean
-        hess = centered.T @ (centered * p[:, None])
-        hess = (hess + hess.T) / 2.0
-        step = _newton_step(hess, grad, opts.regularization_floor)
+        step = _newton_step(_covariance(pts, p, mean), grad)
 
         f0 = log_z + float(beta @ t)
         slope = -float(grad @ step)  # derivative of F along -step; negative
@@ -156,10 +148,10 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         stalled = False
         while True:
             cand = beta - stride * step
-            log_z_c, p_c = _parts(pts, cand)
+            log_z_c, p_c = _normalized(-(pts @ cand))
             if log_z_c + float(cand @ t) <= f0 + _ARMIJO * stride * slope + slack:
                 break
-            stride *= opts.line_search_shrink
+            stride *= _SHRINK
             if stride < _MIN_STEP:
                 stalled = True
                 break
@@ -171,13 +163,12 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         grad_norm = float(np.abs(t - mean).max()) / scale
         converged = grad_norm <= opts.grad_tol
 
-    ent = float(-xlogy(p, p).sum() + 0.0)
     beta_full = span @ beta if reduced else beta
     report = SolveReport(
         beta=CoVector(beta_full),
         iterations=iterations,
         grad_norm=grad_norm,
-        entropy=ent,
+        entropy=_entropy(p),
         converged=converged,
         reduced=reduced,
     )
@@ -204,22 +195,17 @@ def solve_gradient(A: StateSet, target, opts: SolveOptions | None = None) -> CoV
     return invert_mean_energy(A, target, opts).beta
 
 
-def _parts(pts: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
-    log_w = -(pts @ beta)
-    m = float(log_w.max())
-    log_z = m + float(np.log(np.exp(log_w - m).sum()))
-    return log_z, np.exp(log_w - log_z)
-
-
-def _newton_step(hess: np.ndarray, grad: np.ndarray, floor: float) -> np.ndarray:
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve hess @ s = grad, adding a scaled ridge if Cholesky fails."""
+    from scipy.linalg import cho_factor, cho_solve
+
     d = hess.shape[0]
     reg = 0.0
-    base = floor * max(float(np.trace(hess)) / d, np.finfo(float).tiny)
+    base = _RIDGE_FLOOR * max(float(np.trace(hess)) / d, np.finfo(float).tiny)
     for _ in range(40):
         try:
             factor = cho_factor(hess + reg * np.eye(d), lower=True)
             return cho_solve(factor, grad)
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             reg = base if reg == 0.0 else reg * 10.0
-    raise LinAlgError("covariance could not be regularized to positive definite")
+    raise np.linalg.LinAlgError("covariance could not be regularized to positive definite")

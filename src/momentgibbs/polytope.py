@@ -14,14 +14,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull as _QHull
 
-from .errors import (
-    DimensionMismatch,
-    OffAffineSpan,
-    UnsupportedDimension,
-    ZeroDirection,
-)
+from .errors import OffAffineSpan, UnsupportedDimension, ZeroDirection
 from .state_space import StateSet, affine_frame, covector_array, point_array
 
 MAX_HULL_DIM = 6
@@ -169,7 +163,9 @@ def _hull_planar(pts: np.ndarray, keep_integer: bool):
 
 def _hull_qhull(pts: np.ndarray):
     """qhull facets with coplanar (triangulated) duplicates merged."""
-    hull = _QHull(pts)
+    from scipy.spatial import ConvexHull
+
+    hull = ConvexHull(pts)
     # inside the hull: equations[:, :-1] @ x + equations[:, -1] <= 0
     rows = np.column_stack([-hull.equations[:, :-1], hull.equations[:, -1]])
     scale = max(1.0, float(np.abs(pts).max()))
@@ -196,18 +192,23 @@ def interior_margin(Q: Polytope, x) -> float:
     negative outside. Points off the affine span are rejected.
     """
     p = point_array(x, Q.ambient_dim)
-    if Q.span_equations:
-        viol = max(abs(float(eq.normal @ p) - eq.offset) for eq in Q.span_equations)
-        if viol > _SPAN_TOL:
-            raise OffAffineSpan(
-                f"point is {viol:.3g} off the affine span of the states"
-            )
+    viol = _span_violation(Q, p)
+    if viol:
+        raise OffAffineSpan(f"point is {viol:.3g} off the affine span of the states")
     if not Q.facets:
         return math.inf
     return min(
         (float(f.normal @ p) - f.offset) / float(np.linalg.norm(f.normal))
         for f in Q.facets
     )
+
+
+def _span_violation(Q: Polytope, p: np.ndarray) -> float:
+    """Distance from p to the affine span of the hull, or 0.0 within tolerance."""
+    if not Q.span_equations:
+        return 0.0
+    viol = max(abs(float(eq.normal @ p) - eq.offset) for eq in Q.span_equations)
+    return viol if viol > _SPAN_TOL else 0.0
 
 
 def min_face(A: StateSet, direction) -> FaceResult:
@@ -229,7 +230,12 @@ def tropical_limit(A: StateSet, direction) -> np.ndarray:
     The Gibbs weights concentrate uniformly on the face minimizing the
     pairing, so the limit is that face's barycenter.
     """
+    return _limit_face(A, direction).barycenter
+
+
+def _limit_face(A: StateSet, direction) -> FaceResult:
+    """`min_face` for a direction that must be nonzero."""
     d = covector_array(direction, A.dim)
     if not np.any(d != 0.0):
         raise ZeroDirection("limit direction must be nonzero")
-    return min_face(A, d).barycenter
+    return min_face(A, d)

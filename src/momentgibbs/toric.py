@@ -65,10 +65,7 @@ def moment_of_beta(A: StateSet, beta) -> np.ndarray:
     """Moment image of the positive point at beta.
 
     The squared magnitudes double the exponent, so this equals
-    mean_energy(A, 2*beta); the squaring happens in log space to keep the
-    overflow guarantee.
+    mean_energy(A, 2*beta) up to rounding; the squaring happens in log space
+    to keep the overflow guarantee.
     """
-    b = covector_array(beta, A.dim)
-    log_sq = -2.0 * (A.points @ b)
-    weights = np.exp(log_sq - log_sq.max())
-    return (weights @ A.points) / weights.sum()
+    return projective_moment(A, positive_point(A, 2.0 * covector_array(beta, A.dim)))

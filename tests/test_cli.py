@@ -212,6 +212,15 @@ def test_subprocess_exit_codes():
     )
 
 
+def test_cli_import_defers_scipy_linalg_and_spatial():
+    probe = (
+        "import sys, momentgibbs.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.spatial') if m in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True)
+    assert run.stdout.strip() == b"[]"
+
+
 def test_stdin_input():
     cmd = [sys.executable, "-m", "momentgibbs", "forward", "-", "--beta", "0"]
     doc = (DATA_DIR / "two_state.json").read_bytes()

@@ -119,10 +119,6 @@ def test_solve_options_validation():
         mg.SolveOptions(grad_tol=2.0)
     with pytest.raises(ValueError):
         mg.SolveOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        mg.SolveOptions(line_search_shrink=1.0)
-    with pytest.raises(ValueError):
-        mg.SolveOptions(regularization_floor=0.0)
 
 
 def test_round_trip_random_instances():
