@@ -22,6 +22,7 @@ MAX_HULL_DIM = 6
 
 _SPAN_TOL = 1e-9  # span equations use unit normals, so this is a distance
 _TIE_REL = 1e-9
+_DIAM_ROWS = 256
 
 
 class Facet(NamedTuple):
@@ -64,8 +65,15 @@ def convex_hull(A: StateSet) -> Polytope:
     Dimensions 0 to 2 (after span reduction) are enumerated directly;
     dimensions 3 to 6 go through qhull with coplanar facet merging. Output
     order is deterministic: vertex indices ascending, facets sorted by their
-    (normal, offset) coefficients.
+    (normal, offset) coefficients. The hull is computed once per state set
+    and shared by every later call.
     """
+    if A._hull is None:
+        object.__setattr__(A, "_hull", _enumerate_hull(A))
+    return A._hull
+
+
+def _enumerate_hull(A: StateSet) -> Polytope:
     d = A.affine_dim
     if d > MAX_HULL_DIM:
         raise UnsupportedDimension(
@@ -87,29 +95,34 @@ def convex_hull(A: StateSet) -> Polytope:
 
     if d == 0:
         vertices: list[int] = [0]
-        raw: list[tuple[np.ndarray, float]] = []
+        normals, offsets = np.zeros((0, 0)), np.zeros(0)
     elif d == 1:
-        vertices, raw = _hull_interval(reduced[:, 0])
+        vertices, normals, offsets = _hull_interval(reduced[:, 0])
     elif d == 2:
-        vertices, raw = _hull_planar(reduced, keep_integer=A.is_lattice and span is None)
+        vertices, normals, offsets = _hull_planar(
+            reduced, keep_integer=A.is_lattice and span is None
+        )
     else:
-        vertices, raw = _hull_qhull(reduced)
+        vertices, normals, offsets = _hull_qhull(reduced)
 
-    facets = []
-    for normal, offset in raw:
-        if span is not None:
-            normal = span @ normal
-            offset = offset + float(normal @ origin)
-        facets.append(Facet(_frozen(normal), float(offset)))
-    facets.sort(key=lambda f: tuple(np.round(np.append(f.normal, f.offset), 12)))
+    if span is not None:
+        # one product per facet: a batched product may sum in another order
+        normals = np.array([span @ n for n in normals]).reshape(-1, A.dim)
+        offsets = offsets + np.array([n @ origin for n in normals])
+    normals = normals + 0.0  # +0.0 canonicalizes -0.0 entries
+    order = np.lexsort(np.round(np.column_stack([normals, offsets]), 12).T[::-1])
+    normals = normals[order]
+    normals.setflags(write=False)
+    facets = tuple(map(Facet, normals, offsets[order].tolist()))
 
     verts = tuple(sorted(int(i) for i in vertices))
     vp = A.points[list(verts)]
-    if len(verts) > 1:
-        diam = float(np.linalg.norm(vp[:, None, :] - vp[None, :, :], axis=-1).max())
-    else:
-        diam = 0.0
-    return Polytope(A.dim, d, verts, tuple(facets), span_eqs, diam)
+    diam = 0.0
+    # blocks of rows keep the pairwise differences linear in the vertex count
+    for lo in range(0, len(vp), _DIAM_ROWS):
+        gaps = vp[lo : lo + _DIAM_ROWS, None, :] - vp[None, :, :]
+        diam = max(diam, float(np.linalg.norm(gaps, axis=-1).max()))
+    return Polytope(A.dim, d, verts, facets, span_eqs, diam)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -121,23 +134,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _hull_interval(t: np.ndarray):
     imin = int(np.argmin(t))
     imax = int(np.argmax(t))
-    raw = [
-        (np.array([1.0]), float(t[imin])),
-        (np.array([-1.0]), float(-t[imax])),
-    ]
-    return [imin, imax], raw
+    return [imin, imax], np.array([[1.0], [-1.0]]), np.array([t[imin], -t[imax]])
 
 
 def _hull_planar(pts: np.ndarray, keep_integer: bool):
     """Monotone chain in the plane; returns CCW vertices and edge halfspaces."""
     scale = max(1.0, float(np.abs(pts).max()))
     eps = 1e-9 * scale * scale  # cross products scale quadratically
-    order = sorted(range(pts.shape[0]), key=lambda i: (pts[i, 0], pts[i, 1]))
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    order = sorted(range(len(xs)), key=lambda i: (xs[i], ys[i]))
 
     def cross(o, a, b):
-        return (pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1]) - (
-            pts[a, 1] - pts[o, 1]
-        ) * (pts[b, 0] - pts[o, 0])
+        return (xs[a] - xs[o]) * (ys[b] - ys[o]) - (ys[a] - ys[o]) * (xs[b] - xs[o])
 
     def chain(seq):
         out: list[int] = []
@@ -151,19 +159,20 @@ def _hull_planar(pts: np.ndarray, keep_integer: bool):
     upper = chain(reversed(order))
     ring = lower[:-1] + upper[:-1]  # counter-clockwise
 
-    raw = []
+    normals, offsets = [], []
     for a, b in zip(ring, ring[1:] + ring[:1]):
         edge = pts[b] - pts[a]
         normal = np.array([-edge[1], edge[0]])  # interior is left of a->b
         if not keep_integer:
             normal = normal / np.linalg.norm(normal)
-        raw.append((normal, float(normal @ pts[a])))
-    return ring, raw
+        normals.append(normal)
+        offsets.append(float(normal @ pts[a]))
+    return ring, np.array(normals), np.array(offsets)
 
 
 def _hull_qhull(pts: np.ndarray):
     """qhull facets with coplanar (triangulated) duplicates merged."""
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, cKDTree
 
     hull = ConvexHull(pts)
     # inside the hull: equations[:, :-1] @ x + equations[:, -1] <= 0
@@ -174,15 +183,15 @@ def _hull_qhull(pts: np.ndarray):
     # straddle a rounding boundary
     _, first = np.unique(np.round(rows / scale, 9), axis=0, return_index=True)
     cand = rows[np.sort(first)]
-    gaps = np.abs(cand[:, None, :] - cand[None, :, :]).max(axis=-1)
-    keep: list[int] = []
-    dropped = np.zeros(len(cand), dtype=bool)
-    for i in range(len(cand)):
-        if not dropped[i]:
-            keep.append(i)
-            dropped |= gaps[i] <= tol
-    raw = [(cand[i, :-1], float(cand[i, -1])) for i in keep]
-    return sorted(int(v) for v in hull.vertices), raw
+    # greedy in candidate order: a kept row drops every row within tol of it
+    # (max-norm). Pairs come sorted by their first index, so a row's own fate
+    # is settled before the pairs it heads are read.
+    dropped: set[int] = set()
+    for i, j in sorted(cKDTree(cand).query_pairs(tol, p=np.inf)):
+        if i not in dropped:
+            dropped.add(j)
+    keep = [i for i in range(len(cand)) if i not in dropped]
+    return sorted(int(v) for v in hull.vertices), cand[keep, :-1], cand[keep, -1]
 
 
 def interior_margin(Q: Polytope, x) -> float:

@@ -3,12 +3,15 @@
 A state set is an ordered list of N distinct points in R^n; the point of state
 i is its energy vector. Covectors live in the dual space and pair with points
 through the ordinary dot product. Everything here is immutable after
-construction and safe to share across threads.
+construction and safe to share across threads. The one lazily filled field,
+a state set's memoized hull, holds the same value on every write, so a race
+between two threads that fill it at once is harmless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,6 +22,9 @@ from .errors import DimensionMismatch, DuplicatePoint, EmptyStateSet, LengthMism
 RANK_TOL = 1e-9
 
 _JSON_KEYS = {"dim", "points", "labels"}
+
+if TYPE_CHECKING:
+    from .polytope import Polytope
 
 
 def _points_matrix(points, dim: int) -> np.ndarray:
@@ -54,6 +60,8 @@ class StateSet:
     labels: tuple[str, ...] | None = None
     affine_dim: int = field(init=False)
     is_lattice: bool = field(init=False)
+    # filled by `polytope.convex_hull` on first use; not part of the value
+    _hull: Polytope | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentgibbs as mg
+from momentgibbs.state_space import affine_frame
 from oracles import classify_against_hull
 
 
@@ -93,13 +97,71 @@ def test_facet_invariants_random_sets():
 
 def test_hull_determinism():
     rng = np.random.Generator(np.random.Philox(key=32))
-    A = mg.new_state_set(3, rng.normal(size=(12, 3)))
-    Q1 = mg.convex_hull(A)
-    Q2 = mg.convex_hull(A)
+    pts = rng.normal(size=(12, 3))
+    # two sets, so the memo on one cannot hand back the other's hull
+    Q1 = mg.convex_hull(mg.new_state_set(3, pts))
+    Q2 = mg.convex_hull(mg.new_state_set(3, pts))
+    assert Q1 is not Q2
     assert Q1.vertices == Q2.vertices
     assert len(Q1.facets) == len(Q2.facets)
     for f1, f2 in zip(Q1.facets, Q2.facets):
         assert np.array_equal(f1.normal, f2.normal) and f1.offset == f2.offset
+
+
+def _report_bits(r):
+    return (r.beta.components.tobytes(), r.iterations, r.grad_norm.hex(),
+            r.entropy.hex(), r.converged, r.reduced)
+
+
+def test_hull_memoized_per_state_set():
+    rng = np.random.Generator(np.random.Philox(key=38))
+    pts = rng.normal(size=(12, 3))
+    A = mg.new_state_set(3, pts)
+    Q = mg.convex_hull(A)
+    assert mg.convex_hull(A) is Q
+    # the memo is not part of the value
+    assert repr(A) == repr(mg.new_state_set(3, pts))
+    single = mg.new_state_set(1, [[3.0]])  # one coordinate, so == is defined
+    mg.convex_hull(single)
+    assert single == mg.new_state_set(1, [[3.0]])
+    # a solve on the memoized hull matches one on a fresh set, bit for bit
+    target = mg.mean_energy(A, rng.normal(size=3))
+    first = _report_bits(mg.invert_mean_energy(A, target))
+    assert _report_bits(mg.invert_mean_energy(A, target)) == first
+    assert _report_bits(mg.invert_mean_energy(mg.new_state_set(3, pts), target)) == first
+
+
+def _hull_bits(Q):
+    return (Q.vertices, Q.diameter.hex(),
+            [(f.normal.tobytes(), f.offset.hex()) for f in Q.facets])
+
+
+def test_hull_memo_shared_across_threads():
+    rng = np.random.Generator(np.random.Philox(key=39))
+    point_sets = [rng.normal(size=(40, 3)) for _ in range(12)]
+    expected = [_hull_bits(mg.convex_hull(mg.new_state_set(3, p))) for p in point_sets]
+    shared = [mg.new_state_set(3, p) for p in point_sets]
+    seen = []  # list.append is atomic under the interpreter lock
+
+    def work():
+        for A in shared:
+            seen.append((id(A), _hull_bits(mg.convex_hull(A))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 6 * len(shared)
+    by_id = {id(A): bits for A, bits in zip(shared, expected)}
+    assert all(bits == by_id[key] for key, bits in seen)
+    assert [_hull_bits(A._hull) for A in shared] == expected
 
 
 def test_cube_facets_merged():
@@ -119,8 +181,106 @@ def test_unsupported_dimension():
     pts = np.vstack([np.zeros(7), np.eye(7)])
     A = mg.new_state_set(7, pts)
     assert A.affine_dim == 7
-    with pytest.raises(mg.UnsupportedDimension):
-        mg.convex_hull(A)
+    for _ in range(2):  # a refusal is not memoized as a hull
+        with pytest.raises(mg.UnsupportedDimension):
+            mg.convex_hull(A)
+
+
+def _box_lattice(rng, d, n, side):
+    """n distinct points of the integer box {0, ..., side-1}^d."""
+    cells = rng.choice(side**d, size=n, replace=False)
+    return np.stack(np.unravel_index(cells, (side,) * d), axis=1).astype(float)
+
+
+def _dense_merge_hull(A):
+    """Reference for `convex_hull` at affine dimension 3 to 6: qhull facets
+    merged greedily through the dense F x F x (d+1) table of coefficient
+    gaps, sorted by per-facet rounded tuples.
+
+    Returns (vertices, [(normal, offset)], diameter, rows dropped by the
+    tolerance pass after the rounding collapse).
+    """
+    from scipy.spatial import ConvexHull
+
+    if A.affine_dim == A.dim:
+        origin, span, reduced = np.zeros(A.dim), None, A.points
+    else:
+        origin, span, _ = affine_frame(A)
+        reduced = (A.points - origin) @ span
+    hull = ConvexHull(reduced)
+    rows = np.column_stack([-hull.equations[:, :-1], hull.equations[:, -1]])
+    scale = max(1.0, float(np.abs(reduced).max()))
+    _, first = np.unique(np.round(rows / scale, 9), axis=0, return_index=True)
+    cand = rows[np.sort(first)]
+    gaps = np.abs(cand[:, None, :] - cand[None, :, :]).max(axis=-1)
+    keep = []
+    dropped = np.zeros(len(cand), dtype=bool)
+    for i in range(len(cand)):
+        if not dropped[i]:
+            keep.append(i)
+            dropped |= gaps[i] <= 1e-7 * scale
+    facets = []
+    for i in keep:
+        normal, offset = cand[i, :-1], float(cand[i, -1])
+        if span is not None:
+            normal = span @ normal
+            offset = offset + float(normal @ origin)
+        facets.append((np.array(normal, dtype=float) + 0.0, float(offset)))
+    facets.sort(key=lambda f: tuple(np.round(np.append(f[0], f[1]), 12)))
+    verts = tuple(sorted(int(v) for v in hull.vertices))
+    vp = A.points[list(verts)]
+    diam = float(np.linalg.norm(vp[:, None, :] - vp[None, :, :], axis=-1).max())
+    return verts, facets, diam, len(cand) - len(keep)
+
+
+def _merge_oracle_sets():
+    rng = np.random.Generator(np.random.Philox(key=36))
+    # box-filled lattices: many points on the box faces, so qhull reports
+    # many coplanar simplices per facet
+    for d, n, side in [(3, 120, 6), (4, 120, 4), (5, 120, 3), (6, 100, 3)]:
+        yield _box_lattice(rng, d, n, side)
+    # jitter just below the merge tolerance: coplanar rows that the rounding
+    # collapse keeps apart, in chains whose outcome depends on the greedy order
+    for d, n, side in [(3, 60, 5), (4, 60, 4), (5, 60, 3), (6, 30, 3)]:
+        pts = _box_lattice(rng, d, n, side)
+        yield pts + rng.normal(scale=3e-8, size=pts.shape)
+    # a 4-D lattice set embedded in R^6
+    embed = np.vstack([np.eye(4), [[1, 1, 0, -1], [0, 2, -1, 1]]])
+    yield _box_lattice(rng, 4, 80, 4) @ embed.T + [1, -2, 3, 0, 2, -1]
+
+
+def test_hull_matches_dense_merge_reference():
+    tolerance_merges = 0
+    for pts in _merge_oracle_sets():
+        A = mg.new_state_set(pts.shape[1], pts)
+        assert A.affine_dim >= 3
+        verts, facets, diam, merged = _dense_merge_hull(A)
+        Q = mg.convex_hull(A)
+        assert Q.vertices == verts
+        assert Q.diameter.hex() == diam.hex()
+        assert len(Q.facets) == len(facets)
+        for f, (normal, offset) in zip(Q.facets, facets):
+            assert f.normal.tobytes() == normal.tobytes()
+            assert f.offset.hex() == offset.hex()
+        tolerance_merges += merged
+    assert tolerance_merges > 0
+
+
+def test_six_dim_hull_memory_linear_in_facets():
+    # affine dimension 6, N=200: several thousand facets, where a pairwise
+    # facet table would take gigabytes
+    rng = np.random.Generator(np.random.Philox(key=37))
+    A = mg.new_state_set(6, _box_lattice(rng, 6, 200, 7))
+    tracemalloc.start()
+    try:
+        Q = mg.convex_hull(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(Q.facets) > 5000
+    assert peak < 64 * 2**20
+    target = mg.mean_energy(A, 0.2 * rng.normal(size=6))
+    assert mg.invert_mean_energy(A, target).converged
 
 
 def test_margin_matches_lp_classification():
