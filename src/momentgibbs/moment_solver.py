@@ -125,15 +125,13 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
     beta = np.zeros(d)
     log_z, p = _normalized(-(pts @ beta))
     iterations = 0
-    converged = False
-    grad_norm = np.inf
 
-    for _ in range(opts.max_iter):
+    while True:
         mean = p @ pts
         grad = t - mean
         grad_norm = float(np.abs(grad).max()) / scale
-        if grad_norm <= opts.grad_tol:
-            converged = True
+        converged = grad_norm <= opts.grad_tol
+        if converged or iterations == opts.max_iter:
             break
         iterations += 1
 
@@ -158,10 +156,6 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         if stalled:
             break  # no representable progress left; the raise below reports it
         beta, log_z, p = cand, log_z_c, p_c
-    else:
-        mean = p @ pts
-        grad_norm = float(np.abs(t - mean).max()) / scale
-        converged = grad_norm <= opts.grad_tol
 
     beta_full = span @ beta if reduced else beta
     report = SolveReport(

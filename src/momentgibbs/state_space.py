@@ -50,8 +50,9 @@ def _points_matrix(points, dim: int) -> np.ndarray:
 class StateSet:
     """Ordered set of N distinct energy points in R^dim.
 
-    `affine_dim` (the dimension of the affine span) is computed once at
-    construction; `is_lattice` records whether every input coordinate was an
+    Construction does one thin SVD of the centered points; `affine_dim` (the
+    dimension of the affine span) and the frame `affine_frame` returns are both
+    read from it. `is_lattice` records whether every input coordinate was an
     integer. Points are stored as float64 exactly as given.
     """
 
@@ -60,6 +61,8 @@ class StateSet:
     labels: tuple[str, ...] | None = None
     affine_dim: int = field(init=False)
     is_lattice: bool = field(init=False)
+    # right singular vectors of points - points[0]; all n rows (see __post_init__)
+    _vh: np.ndarray = field(init=False, repr=False, compare=False)
     # filled by `polytope.convex_hull` on first use; not part of the value
     _hull: Polytope | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -83,7 +86,13 @@ class StateSet:
             object.__setattr__(self, "labels", labels)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "affine_dim", _affine_rank(pts))
+        # thin when N >= n; with fewer points than coordinates the complement
+        # needs all n rows of vh, and the left factor is at most n x n anyway
+        _, s, vh = np.linalg.svd(pts - pts[0], full_matrices=pts.shape[0] < self.dim)
+        vh.setflags(write=False)
+        object.__setattr__(self, "_vh", vh)
+        tol = RANK_TOL * max(float(s[0]), 1.0)
+        object.__setattr__(self, "affine_dim", int(np.sum(s > tol)))
         object.__setattr__(self, "is_lattice", bool(np.all(pts == np.rint(pts))))
 
     def __len__(self) -> int:
@@ -154,15 +163,6 @@ def _check_distinct(pts: np.ndarray) -> None:
         raise DuplicatePoint(f"points {i} and {j} are identical")
 
 
-def _affine_rank(pts: np.ndarray) -> int:
-    diffs = pts - pts[0]
-    s = np.linalg.svd(diffs, compute_uv=False)
-    if s.size == 0:
-        return 0
-    tol = RANK_TOL * max(float(s[0]), 1.0)
-    return int(np.sum(s > tol))
-
-
 def new_state_set(dim: int, points, labels=None) -> StateSet:
     """Validate and build a StateSet; see the class for the invariants."""
     return StateSet(dim, points, labels)
@@ -178,14 +178,12 @@ def affine_frame(A: StateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (origin, span, complement): `origin` is the first point, `span`
     is n x d with columns spanning the centered point directions, and
-    `complement` is n x (n-d) with columns spanning the annihilator. Uses the
-    same rank tolerance as `affine_dim`, so the split is consistent with the
-    cached value.
+    `complement` is n x (n-d) with columns spanning the annihilator. The frame
+    is read from the SVD computed at construction, the same factorization
+    `affine_dim` counts, so the split agrees with it by construction.
     """
-    diffs = A.points - A.points[0]
-    _, _, vh = np.linalg.svd(diffs, full_matrices=True)
     d = A.affine_dim
-    return A.points[0].copy(), vh[:d].T.copy(), vh[d:].T.copy()
+    return A.points[0].copy(), A._vh[:d].T.copy(), A._vh[d:].T.copy()
 
 
 def covector_array(beta, dim: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,26 @@ def test_degenerate_span_target_off_span(collinear):
     with pytest.raises(mg.TargetOutsideHull) as err:
         mg.invert_mean_energy(collinear, [0.7, 1.3])
     assert err.value.margin < 0
+
+
+def test_reduced_solve_memory_linear_in_states():
+    # N=4000 lattice points on a plane in R^3: an N x N factor of the point
+    # matrix alone would take 122 MiB
+    rng = np.random.Generator(np.random.Philox(key=53))
+    cells = rng.choice(64 * 64, size=4000, replace=False)
+    plane = np.stack(np.unravel_index(cells, (64, 64)), axis=1).astype(float)
+    A = mg.new_state_set(3, plane @ np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]]) + 5.0)
+    assert A.affine_dim == 2
+    target = mg.mean_energy(A, [0.03, -0.02, 0.01])
+    tracemalloc.start()
+    try:
+        mg.convex_hull(A)
+        r = mg.invert_mean_energy(A, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.reduced and r.converged
+    assert peak < 16 * 2**20
 
 
 def test_single_state_solves_trivially():

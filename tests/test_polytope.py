@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentgibbs as mg
-from momentgibbs.state_space import affine_frame
 from oracles import classify_against_hull
 
 
@@ -205,7 +204,10 @@ def _dense_merge_hull(A):
     if A.affine_dim == A.dim:
         origin, span, reduced = np.zeros(A.dim), None, A.points
     else:
-        origin, span, _ = affine_frame(A)
+        # the span frame from its own full SVD, independent of the StateSet
+        origin = A.points[0].copy()
+        _, _, vh = np.linalg.svd(A.points - origin, full_matrices=True)
+        span = vh[: A.affine_dim].T.copy()
         reduced = (A.points - origin) @ span
     hull = ConvexHull(reduced)
     rows = np.column_stack([-hull.equations[:, :-1], hull.equations[:, -1]])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentgibbs as mg
+from momentgibbs.state_space import RANK_TOL, affine_frame
 
 
 def test_minimal_two_state():
@@ -86,6 +87,60 @@ def test_affine_dim_permutation_invariance(order):
     pts = np.array([[0, 0], [1, 0], [2, 0], [3, 1], [4, 4]], dtype=float)
     reference = mg.new_state_set(2, pts).affine_dim
     assert mg.new_state_set(2, pts[order]).affine_dim == reference
+
+
+def _reference_frame(pts):
+    """Rank from a values-only SVD and frame from a full_matrices=True SVD of
+    the centered points, each factorization computed on its own."""
+    diffs = pts - pts[0]
+    s = np.linalg.svd(diffs, compute_uv=False)
+    d = int(np.sum(s > RANK_TOL * max(float(s[0]), 1.0)))
+    _, _, vh = np.linalg.svd(diffs, full_matrices=True)
+    return d, (pts[0].copy(), vh[:d].T.copy(), vh[d:].T.copy())
+
+
+def _frame_reference_sets():
+    rng = np.random.Generator(np.random.Philox(key=59))
+    for _ in range(6):
+        d = int(rng.integers(1, 5))
+        n = int(rng.integers(d + 1, 8))
+        # reduced integer lattice: a box lattice mapped into R^n
+        side = 4
+        cells = rng.choice(side**d, size=int(rng.integers(d + 1, side**d + 1)), replace=False)
+        box = np.stack(np.unravel_index(cells, (side,) * d), axis=1).astype(float)
+        lat = box @ rng.integers(-2, 3, size=(d, n)) + rng.integers(-5, 6, size=n)
+        yield np.unique(lat, axis=0)
+        # reduced Gaussian cloud, scaled by 10^k for |k| <= 4
+        cloud = rng.normal(size=(int(rng.integers(d + 1, 200)), d)) @ rng.normal(size=(d, n))
+        yield cloud * 10.0 ** rng.integers(-4, 5) + rng.normal(size=n)
+        # full-dimensional, and N == n (n points span at most n - 1 dimensions)
+        yield rng.normal(size=(int(rng.integers(n + 1, 60)), n))
+        yield rng.normal(size=(n, n))
+    # a lattice jittered around the rank tolerance, and a spread below it
+    plane = rng.integers(-4, 5, size=(30, 2)) @ rng.normal(size=(2, 4))
+    for eps in (1e-10, 1e-9, 1e-8):
+        yield plane + eps * rng.normal(size=plane.shape)
+    yield rng.normal(size=(5, 3)) * 1e-12
+    # fewer points than coordinates, and a single point
+    yield rng.normal(size=(2, 3))
+    yield rng.normal(size=(3, 8))
+    yield rng.normal(size=(1, 4))
+    yield np.array([[2.5]])
+
+
+def test_affine_frame_matches_separate_svds():
+    kinds = set()
+    for pts in _frame_reference_sets():
+        N, n = pts.shape
+        A = mg.new_state_set(n, pts)
+        d, ref = _reference_frame(A.points)
+        assert A.affine_dim == d
+        for got, want in zip(affine_frame(A), ref):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            # fresh C-ordered copies: a view's layout can change product bits
+            assert got.flags.c_contiguous and got.flags.writeable
+        kinds.add((d < n, "N>n" if N > n else "N==n" if N == n else "N<n"))
+    assert kinds == {(True, "N>n"), (False, "N>n"), (True, "N==n"), (True, "N<n")}
 
 
 def test_covector_pairing():
