@@ -56,7 +56,6 @@ from .moment_solver import (
     solve_gradient,
 )
 from .polytope import (
-    Facet,
     FaceResult,
     Polytope,
     convex_hull,
@@ -85,7 +84,6 @@ __all__ = [
     "Distribution",
     "DuplicatePoint",
     "EmptyStateSet",
-    "Facet",
     "FaceResult",
     "GENERATOR_NAME",
     "GibbsSummary",

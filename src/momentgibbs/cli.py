@@ -188,16 +188,15 @@ def cmd_hull(doc) -> CommandResult:
             "schema": SCHEMA,
             "affine_dim": hull.affine_dim,
             "vertices": list(hull.vertices),
-            "facets": [
-                {"normal": _floats(f.normal), "offset": f.offset} for f in hull.facets
-            ],
-            "span_equations": [
-                {"normal": _floats(f.normal), "offset": f.offset}
-                for f in hull.span_equations
-            ],
+            "facets": _halfspaces(hull.facets),
+            "span_equations": _halfspaces(hull.span_equations),
         }
     )
     return CommandResult(0, payload)
+
+
+def _halfspaces(rows: np.ndarray) -> list[dict]:
+    return [{"normal": _floats(r[:-1]), "offset": float(r[-1])} for r in rows]
 
 
 def cmd_limit(doc, direction: str) -> CommandResult:
@@ -376,7 +375,7 @@ def main(argv=None) -> int:
         else:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
     try:

@@ -2,16 +2,16 @@
 
 The hull is computed in the affine span of the points: full-dimensional sets
 are handled directly, degenerate sets are first mapped to orthonormal span
-coordinates and the span itself is reported as a list of equality
-constraints. Facet inequalities read (normal, x) >= offset and hold on the
-whole hull with equality on the facet.
+coordinates and the span itself is reported as equality constraints. Every
+halfspace or equation is one row (normal, offset) of a float64 array with n+1
+columns: facet rows read (normal, x) >= offset and hold on the whole hull with
+equality on the facet; span rows read (normal, x) = offset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,16 +20,9 @@ from .state_space import StateSet, affine_frame, covector_array, point_array
 
 MAX_HULL_DIM = 6
 
-_SPAN_TOL = 1e-9  # span equations use unit normals, so this is a distance
+_SPAN_TOL = 1e-9  # span violations are distances; the bound scales with max(1, |x|_inf)
 _TIE_REL = 1e-9
 _DIAM_ROWS = 256
-
-
-class Facet(NamedTuple):
-    """Halfspace (normal, x) >= offset, tight on the face it bounds."""
-
-    normal: np.ndarray
-    offset: float
 
 
 @dataclass(frozen=True)
@@ -45,17 +38,19 @@ class FaceResult:
 class Polytope:
     """Hull of a state set: vertex indices, facet halfspaces, span equations.
 
-    `span_equations` is empty when the points affinely span the ambient
-    space; otherwise each entry is an equality (normal, x) = offset (unit
-    normal) cutting out the affine span, and the facet normals live inside
-    the span.
+    `facets` is a read-only float64 array of shape (F, n+1): row i is
+    (normal, offset) of the halfspace (normal, x) >= offset, and `len(facets)`
+    counts the facets. `span_equations` is a read-only array of shape
+    (n-d, n+1) whose rows (unit normal, offset) read (normal, x) = offset and
+    cut out the affine span; it has no rows when the points affinely span the
+    ambient space, and otherwise the facet normals live inside the span.
     """
 
     ambient_dim: int
     affine_dim: int
     vertices: tuple[int, ...]
-    facets: tuple[Facet, ...]
-    span_equations: tuple[Facet, ...]
+    facets: np.ndarray
+    span_equations: np.ndarray
     diameter: float
 
 
@@ -84,14 +79,13 @@ def _enumerate_hull(A: StateSet) -> Polytope:
         origin = np.zeros(A.dim)
         span = None
         reduced = A.points
-        span_eqs: tuple[Facet, ...] = ()
+        span_eqs = np.zeros((0, A.dim + 1))
     else:
         origin, span, comp = affine_frame(A)
         reduced = (A.points - origin) @ span
-        span_eqs = tuple(
-            Facet(_frozen(comp[:, j]), float(comp[:, j] @ origin))
-            for j in range(comp.shape[1])
-        )
+        # one product per column, as for the facets below
+        span_eqs = np.column_stack([comp.T + 0.0, [c @ origin for c in comp.T]])
+    span_eqs.setflags(write=False)
 
     if d == 0:
         vertices: list[int] = [0]
@@ -109,11 +103,10 @@ def _enumerate_hull(A: StateSet) -> Polytope:
         # one product per facet: a batched product may sum in another order
         normals = np.array([span @ n for n in normals]).reshape(-1, A.dim)
         offsets = offsets + np.array([n @ origin for n in normals])
-    normals = normals + 0.0  # +0.0 canonicalizes -0.0 entries
-    order = np.lexsort(np.round(np.column_stack([normals, offsets]), 12).T[::-1])
-    normals = normals[order]
-    normals.setflags(write=False)
-    facets = tuple(map(Facet, normals, offsets[order].tolist()))
+    # +0.0 canonicalizes -0.0 normal entries; offsets keep their sign
+    rows = np.column_stack([normals + 0.0, offsets])
+    facets = rows[np.lexsort(np.round(rows, 12).T[::-1])]
+    facets.setflags(write=False)
 
     verts = tuple(sorted(int(i) for i in vertices))
     vp = A.points[list(verts)]
@@ -204,20 +197,17 @@ def interior_margin(Q: Polytope, x) -> float:
     viol = _span_violation(Q, p)
     if viol:
         raise OffAffineSpan(f"point is {viol:.3g} off the affine span of the states")
-    if not Q.facets:
-        return math.inf
-    return min(
-        (float(f.normal @ p) - f.offset) / float(np.linalg.norm(f.normal))
-        for f in Q.facets
-    )
+    normals = Q.facets[:, :-1]
+    margins = (normals @ p - Q.facets[:, -1]) / np.linalg.norm(normals, axis=1)
+    return float(margins.min(initial=math.inf))  # no facets: a single point
 
 
 def _span_violation(Q: Polytope, p: np.ndarray) -> float:
-    """Distance from p to the affine span of the hull, or 0.0 within tolerance."""
-    if not Q.span_equations:
-        return 0.0
-    viol = max(abs(float(eq.normal @ p) - eq.offset) for eq in Q.span_equations)
-    return viol if viol > _SPAN_TOL else 0.0
+    """Distance from p to the affine span of the hull, or 0.0 when it is within
+    `_SPAN_TOL` times the largest coordinate of p (floored at 1)."""
+    eqs = Q.span_equations
+    viol = float(np.abs(eqs[:, :-1] @ p - eqs[:, -1]).max(initial=0.0))
+    return viol if viol > _SPAN_TOL * max(1.0, float(np.abs(p).max())) else 0.0
 
 
 def min_face(A: StateSet, direction) -> FaceResult:

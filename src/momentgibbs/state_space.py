@@ -10,6 +10,7 @@ between two threads that fill it at once is harmless.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -43,7 +44,11 @@ def _points_matrix(points, dim: int) -> np.ndarray:
     for i, row in enumerate(rows):
         if np.ndim(row) != 1 or len(row) != dim:
             raise DimensionMismatch(f"point {i} has {np.size(row)} coordinates, expected {dim}")
-    return np.array(rows, dtype=float)
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:  # a Python int beyond the float range
+        bad = next(i for i, row in enumerate(rows) if max(map(abs, row)) > sys.float_info.max)
+        raise ValueError(f"point {bad} has a coordinate beyond the float range") from None
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,25 @@ def test_main_error_exits(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"dim": 1, "points": [[0], [1]], "labels": ["\xff", "b"]}')
+    assert cli.main(["forward", str(bad), "--beta", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read input")
+
+
+def test_forward_coordinate_beyond_float_range():
+    # valid JSON: Python parses the integer exactly, float64 cannot hold it
+    doc = json.loads('{"dim": 1, "points": [[0], [1' + "0" * 400 + ']]}')
+    res = cli.cmd_forward(doc, "0")
+    assert res.exit_code == 2
+    err = json.loads(res.payload)["error"]
+    assert err["type"] == "ValueError"
+    assert "point 1" in err["message"]
+
+
 def test_subprocess_byte_identical():
     cmd = [
         sys.executable,

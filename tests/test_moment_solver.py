@@ -104,6 +104,23 @@ def test_degenerate_span_target_off_span(collinear):
     assert err.value.margin < 0
 
 
+def test_span_tolerance_in_coordinate_units():
+    # a line far from the origin: the exact uniform mean is off the computed
+    # span by rounding alone, about 1e-16 of its coordinates
+    a = 1e7
+    A = mg.new_state_set(2, [[a * k, math.pi * a * k + a] for k in range(3)])
+    assert A.affine_dim == 1
+    r = mg.invert_mean_energy(A, mg.mean_energy(A, [0.0, 0.0]))
+    assert r.converged and r.reduced
+    assert np.all(r.beta.components == 0.0)
+    assert r.entropy == pytest.approx(LOG3, rel=1e-15)
+    # a step off the line of 1e-6 in the coordinates' units is still refused
+    normal = np.array([-math.pi, 1.0]) / math.hypot(math.pi, 1.0)
+    with pytest.raises(mg.TargetOutsideHull) as err:
+        mg.invert_mean_energy(A, mg.mean_energy(A, [0.0, 0.0]) + 1e-6 * a * normal)
+    assert err.value.margin < 0
+
+
 def test_reduced_solve_memory_linear_in_states():
     # N=4000 lattice points on a plane in R^3: an N x N factor of the point
     # matrix alone would take 122 MiB

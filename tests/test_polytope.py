@@ -16,9 +16,9 @@ def test_interval_hull(three_state):
     Q = mg.convex_hull(three_state)
     assert Q.vertices == (0, 2)
     assert Q.affine_dim == 1
-    assert Q.span_equations == ()
-    facets = {(tuple(f.normal), f.offset) for f in Q.facets}
-    assert facets == {((1.0,), 0.0), ((-1.0,), -2.0)}
+    assert Q.span_equations.shape == (0, 2)
+    facets = {tuple(row) for row in Q.facets.tolist()}
+    assert facets == {(1.0, 0.0), (-1.0, -2.0)}
     assert Q.diameter == 2.0
 
 
@@ -27,12 +27,12 @@ def test_square_hull(square):
     assert Q.vertices == (0, 1, 2, 3)
     assert len(Q.facets) == 4
     # unit square is cut out by x >= 0, y >= 0, -x >= -1, -y >= -1
-    facets = {(tuple(f.normal), f.offset) for f in Q.facets}
+    facets = {tuple(row) for row in Q.facets.tolist()}
     assert facets == {
-        ((1.0, 0.0), 0.0),
-        ((0.0, 1.0), 0.0),
-        ((-1.0, 0.0), -1.0),
-        ((0.0, -1.0), -1.0),
+        (1.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0),
+        (-1.0, 0.0, -1.0),
+        (0.0, -1.0, -1.0),
     }
 
 
@@ -41,7 +41,7 @@ def test_collinear_hull(collinear):
     assert Q.vertices == (0, 2)
     assert Q.affine_dim == 1
     assert len(Q.span_equations) == 1
-    normal, offset = Q.span_equations[0]
+    normal, offset = Q.span_equations[0, :-1], Q.span_equations[0, -1]
     # the span is the line x = y
     assert abs(abs(normal[0]) - 1 / math.sqrt(2)) < 1e-12
     assert normal[0] == pytest.approx(-normal[1], abs=1e-12)
@@ -70,7 +70,7 @@ def test_single_point_hull():
     A = mg.new_state_set(2, [[3.0, 4.0]])
     Q = mg.convex_hull(A)
     assert Q.vertices == (0,)
-    assert Q.facets == ()
+    assert Q.facets.shape == (0, 3)
     assert len(Q.span_equations) == 2
     assert mg.interior_margin(Q, [3.0, 4.0]) == math.inf
     with pytest.raises(mg.OffAffineSpan):
@@ -84,10 +84,10 @@ def test_facet_invariants_random_sets():
         N = int(rng.integers(n + 1, 13))
         A = mg.new_state_set(n, rng.normal(size=(N, n)))
         Q = mg.convex_hull(A)
-        for f in Q.facets:
-            values = A.points @ f.normal - f.offset
+        for normal, offset in zip(Q.facets[:, :-1], Q.facets[:, -1]):
+            values = A.points @ normal - offset
             assert values.min() >= -1e-9  # every point satisfies the halfspace
-            norm = np.linalg.norm(f.normal)
+            norm = np.linalg.norm(normal)
             tight = np.sum(np.abs(values) <= 1e-7 * norm)
             assert tight >= Q.affine_dim  # facets are genuine faces
         for v in Q.vertices:
@@ -103,8 +103,7 @@ def test_hull_determinism():
     assert Q1 is not Q2
     assert Q1.vertices == Q2.vertices
     assert len(Q1.facets) == len(Q2.facets)
-    for f1, f2 in zip(Q1.facets, Q2.facets):
-        assert np.array_equal(f1.normal, f2.normal) and f1.offset == f2.offset
+    assert np.array_equal(Q1.facets, Q2.facets)
 
 
 def _report_bits(r):
@@ -132,7 +131,7 @@ def test_hull_memoized_per_state_set():
 
 def _hull_bits(Q):
     return (Q.vertices, Q.diameter.hex(),
-            [(f.normal.tobytes(), f.offset.hex()) for f in Q.facets])
+            Q.facets.tobytes())
 
 
 def test_hull_memo_shared_across_threads():
@@ -261,9 +260,9 @@ def test_hull_matches_dense_merge_reference():
         assert Q.vertices == verts
         assert Q.diameter.hex() == diam.hex()
         assert len(Q.facets) == len(facets)
-        for f, (normal, offset) in zip(Q.facets, facets):
-            assert f.normal.tobytes() == normal.tobytes()
-            assert f.offset.hex() == offset.hex()
+        for row, (normal, offset) in zip(Q.facets, facets):
+            assert row[:-1].tobytes() == normal.tobytes()
+            assert row[-1].hex() == offset.hex()
         tolerance_merges += merged
     assert tolerance_merges > 0
 
@@ -283,6 +282,80 @@ def test_six_dim_hull_memory_linear_in_facets():
     assert peak < 64 * 2**20
     target = mg.mean_energy(A, 0.2 * rng.normal(size=6))
     assert mg.invert_mean_energy(A, target).converged
+
+
+def _format_sets():
+    rng = np.random.Generator(np.random.Philox(key=40))
+    yield mg.new_state_set(1, [[0.0], [1.0], [2.0]])
+    yield mg.new_state_set(2, [[0, 0], [1, 0], [0, 1], [1, 1]])
+    yield mg.new_state_set(2, [[0, 0], [1, 1], [2, 2]])
+    yield mg.new_state_set(2, [[3.0, 4.0]])
+    yield mg.new_state_set(3, rng.normal(size=(30, 3)))
+    embed = np.vstack([np.eye(4), [[1, 1, 0, -1], [0, 2, -1, 1]]])
+    yield mg.new_state_set(6, _box_lattice(rng, 4, 60, 4) @ embed.T + 1.0)
+    yield mg.new_state_set(5, rng.normal(size=(3, 5)))  # N < n
+
+
+def test_halfspace_row_format():
+    for A in _format_sets():
+        Q = mg.convex_hull(A)
+        n, d = A.dim, A.affine_dim
+        for rows in (Q.facets, Q.span_equations):
+            assert rows.dtype == np.float64
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[..., 0] = 1.0
+        F = Q.facets.shape[0]
+        assert Q.facets.shape == (F, n + 1)
+        assert len(Q.facets) == F
+        assert (F == 0) == (d == 0)
+        assert Q.span_equations.shape == (n - d, n + 1)
+        # rows sorted by their coefficients rounded to 12 decimals
+        keys = [tuple(row) for row in np.round(Q.facets, 12).tolist()]
+        assert keys == sorted(keys)
+        # span rows: unit normals, every point on every equation
+        span_normals = Q.span_equations[:, :-1]
+        assert np.allclose(np.linalg.norm(span_normals, axis=1), 1.0)
+        assert np.allclose(A.points @ span_normals.T, Q.span_equations[:, -1])
+
+
+def _per_facet_margin(Q, p):
+    """Reference for `interior_margin` inside the span: one dot per facet."""
+    if not len(Q.facets):
+        return math.inf
+    return min(
+        (float(row[:-1] @ p) - float(row[-1])) / float(np.linalg.norm(row[:-1]))
+        for row in Q.facets
+    )
+
+
+def _margin_oracle_sets():
+    rng = np.random.Generator(np.random.Philox(key=41))
+    for d in range(1, 7):
+        # lattice, reduced lattice, scaled Gaussians
+        side, n_pts = {1: (40, 12), 2: (9, 40), 3: (6, 60), 4: (4, 60), 5: (3, 60), 6: (3, 40)}[d]
+        pts = _box_lattice(rng, d, n_pts, side)
+        yield pts
+        embed = rng.integers(-2, 3, size=(d + 2, d)).astype(float)
+        embed[:d] += np.eye(d) * 3
+        yield pts @ embed.T + rng.integers(-5, 6, size=d + 2)
+        yield rng.normal(size=(n_pts, d)) * 10.0 ** rng.integers(-3, 4)
+
+
+def test_margin_matches_per_facet_reference():
+    rng = np.random.Generator(np.random.Philox(key=42))
+    for pts in _margin_oracle_sets():
+        A = mg.new_state_set(pts.shape[1], pts)
+        Q = mg.convex_hull(A)
+        targets = [mg.mean_energy(A, rng.normal(size=A.dim) / Q.diameter) for _ in range(3)]
+        targets += [A.points[v] for v in Q.vertices[:3]]
+        center = A.points.mean(axis=0)
+        targets += [center + s * (A.points[Q.vertices[-1]] - center) for s in (0.5, 1.0, 1.5)]
+        btol = 1e-9 * Q.diameter
+        for t in targets:
+            mine, ref = mg.interior_margin(Q, t), _per_facet_margin(Q, t)
+            assert abs(mine - ref) <= 1e-15 * (Q.diameter + np.abs(t).max())
+            assert (mine > btol, mine >= -btol) == (ref > btol, ref >= -btol)
 
 
 def test_margin_matches_lp_classification():

@@ -58,6 +58,13 @@ def test_empty_and_ragged_inputs():
         mg.new_state_set(0, [[0]])
 
 
+def test_coordinate_beyond_float_range_is_value_error():
+    with pytest.raises(ValueError, match="point 1 has a coordinate beyond the float range"):
+        mg.new_state_set(1, [[0], [10**400]])
+    with pytest.raises(ValueError, match="point 2 "):
+        mg.new_state_set(2, [[0, 0], [1, 2**1023], [-(10**309), 1]])
+
+
 def test_labels_validation():
     A = mg.new_state_set(1, [[0], [1]], labels=["a", "b"])
     assert A.labels == ("a", "b")
