@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BadSplit, NotNegativeDefinite
 from .gibbs import gibbs_summary, mean_energy
 from .moment_solver import SolveOptions, invert_mean_energy
-from .state_space import StateSet, covector_array, point_array
+from .state_space import StateSet, _float_array, covector_array, point_array
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class QuadraticForm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _float_array(self.matrix, "matrix has an entry")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -51,7 +51,7 @@ class QuadraticForm:
 
     def value(self, x) -> float:
         """f(x) = -x' M x."""
-        v = np.atleast_1d(np.asarray(x, dtype=float))
+        v = np.atleast_1d(_float_array(x, "point has a coordinate"))
         return -float(v @ self.matrix @ v)
 
 

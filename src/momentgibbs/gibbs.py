@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import LengthMismatch
-from .state_space import Observable, StateSet, covector_array
+from .state_space import Observable, StateSet, _float_array, covector_array
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class Distribution:
     parent: StateSet
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.probs, dtype=float))
+        p = np.atleast_1d(_float_array(self.probs, "probabilities have an entry"))
         if p.ndim != 1 or p.shape[0] != len(self.parent):
             raise LengthMismatch(
                 f"{p.size} probabilities for {len(self.parent)} states"

@@ -34,7 +34,7 @@ class FaceResult:
     barycenter: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope:
     """Hull of a state set: vertex indices, facet halfspaces, span equations.
 
@@ -44,6 +44,7 @@ class Polytope:
     (n-d, n+1) whose rows (unit normal, offset) read (normal, x) = offset and
     cut out the affine span; it has no rows when the points affinely span the
     ambient space, and otherwise the facet normals live inside the span.
+    Hulls compare and hash by identity.
     """
 
     ambient_dim: int

@@ -28,9 +28,18 @@ if TYPE_CHECKING:
     from .polytope import Polytope
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """`np.asarray(values, dtype=float)`, with a Python int beyond the float
+    range reported as a ValueError ("<what> beyond the float range")."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} beyond the float range") from None
+
+
 def _points_matrix(points, dim: int) -> np.ndarray:
     if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=float)
+        arr = _float_array(points, "points array has a coordinate")
         if arr.ndim != 2 or arr.shape[1] != dim:
             raise DimensionMismatch(
                 f"points array has shape {arr.shape}, expected (N, {dim})"
@@ -115,7 +124,7 @@ class Observable:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
+        vals = np.atleast_1d(_float_array(self.values, "observable has a value"))
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("observable values must form a nonempty vector")
         if not np.all(np.isfinite(vals)):
@@ -136,7 +145,7 @@ class CoVector:
     components: np.ndarray
 
     def __post_init__(self):
-        comp = np.atleast_1d(np.asarray(self.components, dtype=float))
+        comp = np.atleast_1d(_float_array(self.components, "covector has a component"))
         if comp.ndim != 1 or comp.size < 1:
             raise ValueError("covector needs at least one component")
         if not np.all(np.isfinite(comp)):
@@ -150,7 +159,7 @@ class CoVector:
 
     def pairing(self, point) -> float:
         """(beta, omega) = sum_i beta_i * omega_i."""
-        p = np.atleast_1d(np.asarray(point, dtype=float))
+        p = np.atleast_1d(_float_array(point, "point has a coordinate"))
         if p.shape != self.components.shape:
             raise DimensionMismatch(
                 f"point has {p.shape[0]} coordinates, covector has {self.components.shape[0]}"
@@ -196,7 +205,7 @@ def covector_array(beta, dim: int) -> np.ndarray:
     if isinstance(beta, CoVector):
         comp = beta.components
     else:
-        comp = np.atleast_1d(np.asarray(beta, dtype=float))
+        comp = np.atleast_1d(_float_array(beta, "covector has a component"))
     if comp.ndim != 1 or comp.shape[0] != dim:
         raise DimensionMismatch(f"covector has {comp.size} components, expected {dim}")
     if not np.all(np.isfinite(comp)):
@@ -206,7 +215,7 @@ def covector_array(beta, dim: int) -> np.ndarray:
 
 def point_array(x, dim: int) -> np.ndarray:
     """Coerce a point (array-like or scalar for dim 1) into a (dim,) array."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.atleast_1d(_float_array(x, "point has a coordinate"))
     if p.ndim != 1 or p.shape[0] != dim:
         raise DimensionMismatch(f"point has {p.size} coordinates, expected {dim}")
     if not np.all(np.isfinite(p)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroWeights, LengthMismatch
-from .state_space import StateSet, covector_array
+from .state_space import StateSet, _float_array, covector_array
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class WeightVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        w = np.atleast_1d(_float_array(self.weights, "weights have an entry"))
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must form a nonempty vector")
         if not np.all(np.isfinite(w)) or np.any(w < 0):

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import subprocess
@@ -99,6 +101,88 @@ def test_sweep_square_product_structure():
     second_mean = {line.split(",")[2] for line in lines[1:]}
     # the unswept axis stays at beta 0, so its marginal stays uniform
     assert all(float(v) == pytest.approx(0.5, abs=1e-15) for v in second_mean)
+
+
+def test_sweep_error_in_the_loop_exits_2():
+    # building the set succeeds; the Gibbs weights at beta = 1e200 do not
+    doc = {"dim": 1, "points": [[1e200], [2e200]]}
+    res = cli.cmd_sweep(doc, 0, 1e200, 2e200, 2)
+    assert res.exit_code == 2
+    err = json.loads(res.payload)["error"]
+    assert err == {"type": "ValueError", "message": "probabilities must be finite and non-negative"}
+    assert res.diagnostics == ("ValueError: probabilities must be finite and non-negative",)
+    assert cli.cmd_forward(doc, "1e200").exit_code == 2
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+EMPTY_SET_ARGV = {
+    "forward": ["--beta", "0"],
+    "invert": ["--mean", "0"],
+    "sweep": ["--from", "0", "--to", "1", "--steps", "2"],
+    "hull": [],
+    "limit": ["--direction", "1"],
+    "microstates": ["--total", "3", "--seed", "1"],
+    "toric": ["--beta", "0"],
+    "check": [],
+}
+
+
+def test_every_command_reports_an_empty_state_set(tmp_path, capsys):
+    assert sorted(EMPTY_SET_ARGV) == sorted(_subcommands())
+    path = tmp_path / "empty.json"
+    path.write_text('{"dim": 1, "points": []}')
+    for name, flags in EMPTY_SET_ARGV.items():
+        assert cli.main([name, str(path), *flags]) == 2, name
+        captured = capsys.readouterr()
+        err = json.loads(captured.out)["error"]
+        assert err["type"] == "EmptyStateSet", name
+        assert captured.err.startswith("EmptyStateSet: "), name
+
+
+def test_command_table_matches_the_functions():
+    commands = {name[4:]: fn for name, fn in vars(cli).items() if name.startswith("cmd_")}
+    subcommands = _subcommands()
+    assert sorted(subcommands) == sorted(commands)
+    for name, sub in subcommands.items():
+        fn = commands[name]
+        assert sub.get_default("run") is fn
+        # main calls run(doc, **options): the option dests are the keyword parameters
+        dests = {a.dest for a in sub._actions} - {"help", "input"}
+        params = list(inspect.signature(fn).parameters)[1:]
+        assert dests == set(params), name
+
+
+def test_invert_tolerance_options():
+    doc = load_doc("four_level.json")
+    default = payload(cli.cmd_invert(doc, "1.3"))
+    loose = payload(cli.cmd_invert(doc, "1.3", tol=1e-3))
+    assert loose["iterations"] <= default["iterations"]
+    assert loose["beta"][0] == pytest.approx(default["beta"][0], abs=1e-2)
+
+
+def test_main_tolerance_flags_exit_2(capsys):
+    two = str(DATA_DIR / "two_state.json")
+    assert cli.main(["invert", two, "--mean", "0.25", "--tol", "0"]) == 2
+    assert cli.main(["invert", two, "--mean", "0.25", "--max-iter", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "ValueError: grad_tol must lie in (0, 1)",
+        "ValueError: max_iter must be positive",
+    ]
+
+
+def test_to_json_arrays():
+    assert cli._to_json(np.array([np.nan, np.inf, -np.inf, -0.0])) == "[NaN,Infinity,-Infinity,-0]"
+    # the bytes of the float lists the payloads were once built from
+    matrix = np.array([[0.1, -2.0], [1e-300, 3.0]])
+    assert cli._to_json(matrix) == cli._to_json([[float(v) for v in row] for row in matrix])
+    assert cli._to_json(matrix) == "[[0.10000000000000001,-2],[1e-300,3]]"
+    ints = np.array([3, -1, 0], dtype=np.int64)
+    assert cli._to_json(ints) == cli._to_json([float(v) for v in ints]) == "[3,-1,0]"
 
 
 def test_hull_command():

@@ -129,6 +129,18 @@ def test_hull_memoized_per_state_set():
     assert _report_bits(mg.invert_mean_energy(mg.new_state_set(3, pts), target)) == first
 
 
+def test_hulls_compare_by_identity():
+    pts = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    Q = mg.convex_hull(mg.new_state_set(2, pts))
+    other = mg.convex_hull(mg.new_state_set(2, pts))
+    assert _hull_bits(other) == _hull_bits(Q)
+    assert Q == Q
+    assert not (Q == other)
+    assert Q != other
+    assert hash(Q) == hash(Q)
+    assert len({Q, other}) == 2
+
+
 def _hull_bits(Q):
     return (Q.vertices, Q.diameter.hex(),
             Q.facets.tobytes())

@@ -65,6 +65,34 @@ def test_coordinate_beyond_float_range_is_value_error():
         mg.new_state_set(2, [[0, 0], [1, 2**1023], [-(10**309), 1]])
 
 
+_A = mg.new_state_set(2, [[0, 0], [1, 0], [0, 1], [1, 1]])
+_BIG = 10**400  # a Python int that float64 cannot hold
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mg.mean_energy(_A, [_BIG, 0]),
+        lambda: mg.interior_margin(mg.convex_hull(_A), [_BIG, 0]),
+        lambda: mg.invert_mean_energy(_A, [_BIG, 0]),
+        lambda: mg.new_state_set(1, np.array([[0], [_BIG]], dtype=object)),
+        lambda: mg.CoVector([_BIG]),
+        lambda: mg.Observable([_BIG]),
+        lambda: mg.WeightVector([_BIG]),
+        lambda: mg.Distribution([_BIG, 0, 0, 0], _A),
+        lambda: mg.CoVector([1.0]).pairing([_BIG]),
+        lambda: mg.QuadraticForm([[_BIG]]),
+    ],
+    ids=[
+        "mean_energy", "interior_margin", "invert_mean_energy", "new_state_set_ndarray",
+        "CoVector", "Observable", "WeightVector", "Distribution", "pairing", "QuadraticForm",
+    ],
+)
+def test_int_beyond_float_range_is_value_error(call):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        call()
+
+
 def test_labels_validation():
     A = mg.new_state_set(1, [[0], [1]], labels=["a", "b"])
     assert A.labels == ("a", "b")
