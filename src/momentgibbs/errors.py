@@ -47,7 +47,7 @@ class BadSplit(ValueError):
 
 
 class InvalidTotal(ValueError):
-    """Particle totals must be positive integers."""
+    """Particle totals must be positive integers below 2**63."""
 
 
 class TargetOutsideHull(ValueError):

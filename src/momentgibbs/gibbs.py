@@ -3,6 +3,9 @@
 All log-domain sums use the max-shift (log-sum-exp) form, so every operation
 stays finite for any finite inverse temperature, including the deep
 low-temperature regime where naive exponentials overflow.
+
+scipy.special (for ``xlogy``) loads on the first entropy computation, not on
+import, so callers that never need the entropy never load scipy.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import LengthMismatch
 from .state_space import Observable, StateSet, _float_array, covector_array
@@ -76,6 +78,8 @@ def _covariance(pts: np.ndarray, p: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 
 def _entropy(p: np.ndarray) -> float:
+    from scipy.special import xlogy
+
     return float(-xlogy(p, p).sum() + 0.0)  # +0.0 avoids -0.0
 
 

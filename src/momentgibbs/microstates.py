@@ -12,6 +12,10 @@ contract so counts freeze across platforms:
     of the probabilities (the last edge pinned to 1.0).
 
 Regression vectors for this stream live in the test suite and the README.
+
+Totals and counts are int64, so a total must be below 2**63. scipy.special
+(``gammaln``, ``xlogy``) loads on the first call of the two log-count
+functions, not on import.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import InvalidTotal, LengthMismatch
 from .gibbs import Distribution
@@ -43,21 +46,29 @@ class MicrostateCounts:
     parent: StateSet
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.counts, dtype=np.int64))
+        total = _check_total(self.total)
+        try:
+            c = np.atleast_1d(np.asarray(self.counts, dtype=np.int64))
+        except OverflowError:  # a Python int beyond the int64 range
+            raise ValueError("counts beyond the int64 range") from None
         if c.ndim != 1 or c.shape[0] != len(self.parent):
             raise LengthMismatch(f"{c.size} counts for {len(self.parent)} states")
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
-        if int(c.sum()) != self.total:
-            raise ValueError(f"counts sum to {int(c.sum())}, expected total {self.total}")
+        count_sum = sum(c.tolist())  # exact: an int64 sum would wrap
+        if count_sum != total:
+            raise ValueError(f"counts sum to {count_sum}, expected total {total}")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "total", total)
 
 
 def _check_total(total) -> int:
     if isinstance(total, bool) or not isinstance(total, (int, np.integer)) or total < 1:
         raise InvalidTotal(f"total must be a positive integer, got {total!r}")
+    if total >= 2**63:
+        raise InvalidTotal(f"total must be below 2**63 (counts are int64), got {total!r}")
     return int(total)
 
 
@@ -91,6 +102,8 @@ def log_multinomial_measure(p: Distribution, c: MicrostateCounts) -> float:
     zero-probability state with a nonzero count makes the measure exactly
     zero; that is reported as -inf, not an error.
     """
+    from scipy.special import gammaln, xlogy
+
     if len(c.counts) != len(p):
         raise LengthMismatch(f"{len(c.counts)} counts for {len(p)} probabilities")
     counts = c.counts
@@ -107,5 +120,7 @@ def log_equilibrium_count(p: Distribution, total: int) -> float:
     valid for non-integer total*p. Divided by total, this converges to the
     entropy of p as total grows.
     """
+    from scipy.special import gammaln
+
     total = _check_total(total)
     return float(gammaln(total + 1) - gammaln(total * p.probs + 1.0).sum())

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import inspect
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -315,6 +317,11 @@ def test_subprocess_exit_codes():
     )
 
 
+_PRINT_SCIPY_MODULES = (
+    "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+)
+
+
 def test_cli_import_defers_scipy_linalg_and_spatial():
     probe = (
         "import sys, momentgibbs.cli; "
@@ -322,6 +329,55 @@ def test_cli_import_defers_scipy_linalg_and_spatial():
     )
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True)
     assert run.stdout.strip() == b"[]"
+    for module in ("momentgibbs", "momentgibbs.cli"):
+        run = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; {_PRINT_SCIPY_MODULES}"],
+            capture_output=True, check=True,
+        )
+        assert run.stdout.strip() == b"[]", module
+
+
+def test_hull_limit_toric_never_import_scipy():
+    square = str(DATA_DIR / "square.json")
+    argvs = [
+        ["hull", square],
+        ["limit", square, "--direction", "1,0"],
+        ["toric", square, "--beta", "0.5,0.5"],
+    ]
+    probe = (
+        "import sys, momentgibbs.cli as cli; "
+        f"codes = [cli.main(argv) for argv in {argvs!r}]; "
+        f"print(codes, file=sys.stderr); {_PRINT_SCIPY_MODULES}"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True)
+    assert run.stderr.strip() == b"[0, 0, 0]"
+    assert run.stdout.splitlines()[-1] == b"[]"
+
+
+def test_no_module_level_scipy_import():
+    # a module-level scipy import would load it for every command again;
+    # imports inside a function body load on first call and are allowed
+    src = pathlib.Path(cli.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        pending = list(ast.parse(path.read_text(encoding="utf-8")).body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name == "scipy" or name.startswith("scipy.")
+            ]
+            pending.extend(ast.iter_child_nodes(node))
+    assert found == []
 
 
 def test_stdin_input():

@@ -57,6 +57,33 @@ def test_invalid_total_and_seed(two_state):
         mg.sample_counts(p, 10, 2**64)
 
 
+def test_total_beyond_int64_is_invalid(two_state):
+    # counts are int64; 10**400 used to reach gammaln and raise a TypeError
+    p = mg.Distribution([0.5, 0.5], two_state)
+    for bad in (2**63, 10**400, np.uint64(2**63)):
+        with pytest.raises(mg.InvalidTotal, match="below 2"):
+            mg.log_equilibrium_count(p, bad)
+        with pytest.raises(mg.InvalidTotal, match="below 2"):
+            mg.sample_counts(p, bad, 1)
+    assert math.isfinite(mg.log_equilibrium_count(p, 2**63 - 1))
+
+
+def test_counts_beyond_int64_are_value_errors(two_state, three_state):
+    # used to raise OverflowError from the int64 conversion
+    with pytest.raises(ValueError, match="int64 range"):
+        mg.MicrostateCounts([2**63, 0], 2**63 - 1, 1, two_state)
+    with pytest.raises(mg.InvalidTotal):
+        mg.MicrostateCounts([2**63, 0], 2**63, 1, two_state)
+    # the int64 sum of these wraps to 1; the exact sum is 2**64 + 1
+    with pytest.raises(ValueError, match="counts sum to 18446744073709551617"):
+        mg.MicrostateCounts([2**63 - 1, 2**63 - 1, 3], 1, 0, three_state)
+    for bad in (0, 4.0, True):
+        with pytest.raises(mg.InvalidTotal):
+            mg.MicrostateCounts([0, 0], bad, 0, two_state)
+    c = mg.MicrostateCounts([2**62, 2**62 - 1], np.int64(2**63 - 1), 0, two_state)
+    assert type(c.total) is int and c.total == 2**63 - 1
+
+
 def test_empirical_distribution(two_state, three_state):
     c = mg.MicrostateCounts([10, 0], 10, 0, two_state)
     assert mg.empirical_distribution(c).probs.tolist() == [1.0, 0.0]
