@@ -22,7 +22,16 @@ import numpy as np
 
 from .duality import legendre_residual, legendre_roundtrip
 from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
-from .gibbs import entropy, gibbs_distribution, gibbs_summary, mean_energy
+from .gibbs import (
+    Distribution,
+    _entropy,
+    _log_weights,
+    _normalized,
+    entropy,
+    gibbs_distribution,
+    gibbs_summary,
+    mean_energy,
+)
 from .microstates import (
     GENERATOR_NAME,
     log_equilibrium_count,
@@ -179,10 +188,14 @@ def cmd_sweep(
         ["beta_axis"] + [f"mean_{i + 1}" for i in range(A.dim)] + ["entropy", "log_z"]
     )
     lines = [header]
+    beta = np.empty(A.dim)
+    beta[np.arange(A.dim) != axis] = held
     for value in np.linspace(start, stop, steps):
-        beta = np.insert(np.asarray(held, dtype=float), axis, value)
-        s = gibbs_summary(A, beta)
-        cells = [value, *s.mean_energy, s.entropy, s.log_z]
+        beta[axis] = value
+        # gibbs_summary's steps and checks, less the covariance no cell prints
+        log_z, p = _normalized(_log_weights(A, beta))
+        Distribution(p, A)
+        cells = [value, *(p @ A.points), _entropy(p), log_z]
         lines.append(",".join(_fmt(c) for c in cells))
     return CommandResult(0, "\n".join(lines))
 

@@ -47,9 +47,12 @@ class Distribution:
         return self.probs.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsSummary:
-    """Bundle of the forward quantities at one inverse temperature."""
+    """Bundle of the forward quantities at one inverse temperature.
+
+    Summaries compare and hash by identity.
+    """
 
     log_z: float
     distribution: Distribution

@@ -6,6 +6,11 @@ The solve minimizes the smooth convex dual
 
 whose gradient is target - mean_energy(beta) and whose Hessian is the energy
 covariance, by damped Newton with Cholesky steps and Armijo backtracking.
+Each step calls LAPACK's dpotrf/dpotrs directly, the routines behind scipy's
+cho_factor/cho_solve, so steps keep the wrappers' bits at a fraction of their
+per-call cost. When the factorization fails, the step retries with a ridge
+r * I: r starts at 1e-12 times the mean Hessian diagonal and grows tenfold per
+retry, 40 attempts in all.
 Degenerate point sets (affine span smaller than the ambient space) are first
 mapped to orthonormal span coordinates, where the Hessian is positive
 definite; the solved beta is lifted back with zero component along the span's
@@ -51,7 +56,7 @@ class SolveOptions:
             raise ValueError("max_iter must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of a moment inversion.
 
@@ -59,7 +64,8 @@ class SolveReport:
     scaled by the hull diameter (the convergence metric). `reduced` is true
     when the points did not affinely span the ambient space; the returned
     beta is then one representative of an affine family (the component along
-    the span's annihilator is zero and carries no information).
+    the span's annihilator is zero and carries no information). Reports
+    compare and hash by identity.
     """
 
     beta: CoVector
@@ -190,16 +196,34 @@ def solve_gradient(A: StateSet, target, opts: SolveOptions | None = None) -> CoV
 
 
 def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve hess @ s = grad, adding a scaled ridge if Cholesky fails."""
-    from scipy.linalg import cho_factor, cho_solve
+    """Solve hess @ s = grad by Cholesky, adding a scaled ridge if it fails.
 
-    d = hess.shape[0]
+    Calls dpotrf/dpotrs with the arguments cho_factor/cho_solve pass, so the
+    step has their bits; at the solver's d <= 6 the wrappers cost over ten
+    times the routines. Their checks stay: a non-finite input raises
+    ValueError, as does an illegal-argument code. The factor needs no check:
+    each entry below the diagonal enters the pivot of its row, so with info 0
+    all are finite.
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    a = hess
     reg = 0.0
-    base = _RIDGE_FLOOR * max(float(np.trace(hess)) / d, np.finfo(float).tiny)
     for _ in range(40):
-        try:
-            factor = cho_factor(hess + reg * np.eye(d), lower=True)
-            return cho_solve(factor, grad)
-        except np.linalg.LinAlgError:
-            reg = base if reg == 0.0 else reg * 10.0
+        factor, info = dpotrf(np.asarray_chkfinite(a), lower=1, clean=0)
+        if info == 0:
+            step, info = dpotrs(factor, np.asarray_chkfinite(grad), lower=1)
+            if info != 0:
+                raise ValueError(f"dpotrs: illegal value in argument {-info}")
+            return step
+        if info < 0:
+            raise ValueError(f"dpotrf: illegal value in argument {-info}")
+        # a leading minor is not positive definite: retry with a larger ridge
+        if reg == 0.0:
+            d = hess.shape[0]
+            eye = np.eye(d)
+            reg = _RIDGE_FLOOR * max(float(np.trace(hess)) / d, np.finfo(float).tiny)
+        else:
+            reg *= 10.0
+        a = hess + reg * eye
     raise np.linalg.LinAlgError("covariance could not be regularized to positive definite")

@@ -25,9 +25,12 @@ _TIE_REL = 1e-9
 _DIAM_ROWS = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaceResult:
-    """States minimizing a pairing, the minimum value, and their barycenter."""
+    """States minimizing a pairing, the minimum value, and their barycenter.
+
+    Results compare and hash by identity.
+    """
 
     indices: tuple[int, ...]
     value: float

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import momentgibbs.cli as cli
+from momentgibbs.gibbs import gibbs_summary
+from momentgibbs.state_space import state_set_from_json
 from conftest import DATA_DIR, load_doc
 
 
@@ -114,6 +116,21 @@ def test_sweep_error_in_the_loop_exits_2():
     assert err == {"type": "ValueError", "message": "probabilities must be finite and non-negative"}
     assert res.diagnostics == ("ValueError: probabilities must be finite and non-negative",)
     assert cli.cmd_forward(doc, "1e200").exit_code == 2
+
+
+def test_sweep_matches_gibbs_summary():
+    rng = np.random.Generator(np.random.Philox(key=45))
+    pts = rng.normal(size=(500, 2)) * [3.0, 0.5]
+    doc = {"dim": 2, "points": pts.tolist()}
+    A = state_set_from_json(doc)
+    for axis, fixed in ((0, "0.7"), (1, "-1.5")):
+        lines = ["beta_axis,mean_1,mean_2,entropy,log_z"]
+        for value in np.linspace(-4.0, 3.0, 41):
+            s = gibbs_summary(A, np.insert([float(fixed)], axis, value))
+            lines.append(",".join(cli._fmt(c) for c in [value, *s.mean_energy, s.entropy, s.log_z]))
+        res = cli.cmd_sweep(doc, axis, -4.0, 3.0, 41, fixed)
+        assert res.exit_code == 0
+        assert res.payload == "\n".join(lines)
 
 
 def _subcommands():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import momentgibbs as mg
+from momentgibbs.gibbs import _covariance
+from momentgibbs.moment_solver import _newton_step
 from oracles import central_gradient, max_entropy_on_fiber
 
 LOG3 = math.log(3.0)
@@ -157,6 +159,92 @@ def test_solve_options_validation():
         mg.SolveOptions(grad_tol=2.0)
     with pytest.raises(ValueError):
         mg.SolveOptions(max_iter=0)
+
+
+def _wrapper_step(hess, grad):
+    """The Newton step as computed through scipy's cho_factor/cho_solve."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    d = hess.shape[0]
+    reg = 0.0
+    base = 1e-12 * max(float(np.trace(hess)) / d, np.finfo(float).tiny)
+    for _ in range(40):
+        try:
+            return cho_solve(cho_factor(hess + reg * np.eye(d), lower=True), grad)
+        except np.linalg.LinAlgError:
+            reg = base if reg == 0.0 else reg * 10.0
+    raise np.linalg.LinAlgError("covariance could not be regularized to positive definite")
+
+
+def _bits(x):
+    return x.dtype, x.shape, x.tobytes()
+
+
+def _needs_ridge(hess):
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def test_newton_step_matches_cholesky_wrappers():
+    rng = np.random.Generator(np.random.Philox(key=44))
+    for d in range(1, 9):
+        for scale in (1e-6, 1e-2, 1.0, 1e3, 1e8):
+            for _ in range(5):
+                pts = rng.normal(size=(d + 3, d)) * scale
+                p = rng.dirichlet(np.ones(d + 3))
+                hess = _covariance(pts, p, p @ pts)
+                grad = rng.normal(size=d) * scale
+                assert _bits(_newton_step(hess, grad)) == _bits(_wrapper_step(hess, grad))
+
+    # rank-deficient Hessians, which only a ridge makes positive definite
+    collinear = np.outer(np.arange(6.0), [1.0, 2.0, -0.5])
+    p = np.full(6, 1 / 6)
+    deficient = [
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+        np.zeros((2, 2)),  # the ridge floor is subnormal; both give [nan, -inf]
+        _covariance(collinear, p, p @ collinear),
+        _covariance(collinear * 1e5, p, p @ collinear * 1e5),
+        np.diag([1.0, -1e-9]),  # slightly indefinite: the fifth ridge is the first to work
+    ]
+    for hess in deficient:
+        assert _needs_ridge(hess)
+        grad = rng.normal(size=hess.shape[0])
+        assert _bits(_newton_step(hess, grad)) == _bits(_wrapper_step(hess, grad))
+
+    # no ridge in the sequence helps a negative definite matrix
+    for step in (_newton_step, _wrapper_step):
+        with pytest.raises(np.linalg.LinAlgError):
+            step(-np.eye(2), np.ones(2))
+
+
+def test_newton_step_refuses_non_finite_input():
+    spd = np.array([[2.0, 0.5], [0.5, 1.0]])
+    message = "array must not contain infs or NaNs"
+    for bad in (np.nan, np.inf, -np.inf):
+        upper = spd.copy()
+        upper[0, 1] = bad  # a triangle LAPACK never reads
+        diagonal = spd.copy()
+        diagonal[1, 1] = bad
+        for hess, grad in ((upper, np.ones(2)), (diagonal, np.ones(2)), (spd, np.array([1.0, bad]))):
+            for step in (_newton_step, _wrapper_step):
+                with pytest.raises(ValueError, match=message):
+                    step(hess, grad)
+
+
+def test_results_compare_by_identity(square):
+    for make in (
+        lambda: mg.invert_mean_energy(square, [0.3, 0.6]),
+        lambda: mg.gibbs_summary(square, [0.5, -1.0]),
+        lambda: mg.min_face(square, [1.0, 0.0]),
+    ):
+        first, second = make(), make()
+        assert first == first
+        assert not (first == second)
+        assert first != second
+        assert len({first, second}) == 2
 
 
 def test_round_trip_random_instances():
