@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BadSplit, NotNegativeDefinite
 from .gibbs import gibbs_summary, mean_energy
 from .moment_solver import SolveOptions, invert_mean_energy
-from .state_space import StateSet, _float_array, covector_array, point_array
+from .state_space import StateSet, _float_array, _value_eq, covector_array, point_array
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,8 @@ class QuadraticForm:
     definite matrix M (Cholesky of M is the validity check)."""
 
     matrix: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         m = _float_array(self.matrix, "matrix has an entry")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch
-from .state_space import Observable, StateSet, _float_array, covector_array
+from .state_space import Observable, StateSet, _float_array, _value_eq, covector_array
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,8 @@ class Distribution:
 
     probs: np.ndarray
     parent: StateSet
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         p = np.atleast_1d(_float_array(self.probs, "probabilities have an entry"))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidTotal, LengthMismatch
 from .gibbs import Distribution
-from .state_space import StateSet
+from .state_space import StateSet, _value_eq
 
 GENERATOR_NAME = "philox4x64-10"
 
@@ -44,6 +44,8 @@ class MicrostateCounts:
     total: int
     seed: int
     parent: StateSet
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         total = _check_total(self.total)

@@ -19,19 +19,23 @@ annihilator.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
 from .gibbs import _covariance, _entropy, _normalized
-from .polytope import _span_violation, convex_hull, interior_margin
+from .polytope import _margin, _span_violation, convex_hull
 from .state_space import CoVector, StateSet, affine_frame, point_array
 
 # targets closer to the boundary than this (relative to hull diameter) are
 # refused: the solution diverges there
 _BOUNDARY_REL = 1e-9
 _ARMIJO = 1e-4
+# near the optimum the predicted decrease falls below the rounding noise of F
+# itself; a slack of _ARMIJO_SLACK * (1 + |F|) keeps Armijo from rejecting such steps
+_ARMIJO_SLACK = 32.0 * sys.float_info.epsilon  # float64 eps, np.finfo(float).eps
 _MIN_STEP = 1e-14
 _SHRINK = 0.5  # backtracking factor of the line search
 _RIDGE_FLOOR = 1e-12  # first ridge, relative to the mean Hessian eigenvalue
@@ -94,7 +98,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
     if off:
         raise TargetOutsideHull(-off, f"target is {off:.3g} off the affine span of the states")
 
-    margin = interior_margin(hull, t_full)
+    margin = _margin(hull, t_full)
     btol = _BOUNDARY_REL * hull.diameter
     if margin < -btol:
         raise TargetOutsideHull(margin)
@@ -145,9 +149,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
 
         f0 = log_z + float(beta @ t)
         slope = -float(grad @ step)  # derivative of F along -step; negative
-        # near the optimum the predicted decrease falls below the rounding
-        # noise of F itself; the slack keeps Armijo from rejecting such steps
-        slack = 32.0 * np.finfo(float).eps * (1.0 + abs(f0))
+        slack = _ARMIJO_SLACK * (1.0 + abs(f0))
         stride = 1.0
         stalled = False
         while True:
@@ -210,9 +212,11 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     a = hess
     reg = 0.0
     for _ in range(40):
-        factor, info = dpotrf(np.asarray_chkfinite(a), lower=1, clean=0)
+        _check_finite(a)
+        factor, info = dpotrf(a, lower=1, clean=0)
         if info == 0:
-            step, info = dpotrs(factor, np.asarray_chkfinite(grad), lower=1)
+            _check_finite(grad)
+            step, info = dpotrs(factor, grad, lower=1)
             if info != 0:
                 raise ValueError(f"dpotrs: illegal value in argument {-info}")
             return step
@@ -227,3 +231,9 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
             reg *= 10.0
         a = hess + reg * eye
     raise np.linalg.LinAlgError("covariance could not be regularized to positive definite")
+
+
+def _check_finite(x: np.ndarray) -> None:
+    """The check `np.asarray_chkfinite` makes, with its message, for an array."""
+    if not np.isfinite(x).all():
+        raise ValueError("array must not contain infs or NaNs")

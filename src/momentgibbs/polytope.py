@@ -11,7 +11,7 @@ equality on the facet; span rows read (normal, x) = offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,9 @@ class Polytope:
     (n-d, n+1) whose rows (unit normal, offset) read (normal, x) = offset and
     cut out the affine span; it has no rows when the points affinely span the
     ambient space, and otherwise the facet normals live inside the span.
-    Hulls compare and hash by identity.
+    The Euclidean norms of the facet normals are computed once, when the hull
+    is built, and kept in a private read-only array that `repr` leaves out;
+    every margin divides by them. Hulls compare and hash by identity.
     """
 
     ambient_dim: int
@@ -56,6 +58,12 @@ class Polytope:
     facets: np.ndarray
     span_equations: np.ndarray
     diameter: float
+    _facet_norms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        norms = np.linalg.norm(self.facets[:, :-1], axis=1)
+        norms.setflags(write=False)
+        object.__setattr__(self, "_facet_norms", norms)
 
 
 def convex_hull(A: StateSet) -> Polytope:
@@ -201,8 +209,12 @@ def interior_margin(Q: Polytope, x) -> float:
     viol = _span_violation(Q, p)
     if viol:
         raise OffAffineSpan(f"point is {viol:.3g} off the affine span of the states")
-    normals = Q.facets[:, :-1]
-    margins = (normals @ p - Q.facets[:, -1]) / np.linalg.norm(normals, axis=1)
+    return _margin(Q, p)
+
+
+def _margin(Q: Polytope, p: np.ndarray) -> float:
+    """`interior_margin` of a (n,) float array already known to lie on the span."""
+    margins = (Q.facets[:, :-1] @ p - Q.facets[:, -1]) / Q._facet_norms
     return float(margins.min(initial=math.inf))  # no facets: a single point
 
 
@@ -210,7 +222,9 @@ def _span_violation(Q: Polytope, p: np.ndarray) -> float:
     """Distance from p to the affine span of the hull, or 0.0 when it is within
     `_SPAN_TOL` times the largest coordinate of p (floored at 1)."""
     eqs = Q.span_equations
-    viol = float(np.abs(eqs[:, :-1] @ p - eqs[:, -1]).max(initial=0.0))
+    if not len(eqs):
+        return 0.0
+    viol = float(np.abs(eqs[:, :-1] @ p - eqs[:, -1]).max())
     return viol if viol > _SPAN_TOL * max(1.0, float(np.abs(p).max())) else 0.0
 
 

@@ -11,7 +11,7 @@ between two threads that fill it at once is harmless.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,6 +60,20 @@ def _points_matrix(points, dim: int) -> np.ndarray:
         raise ValueError(f"point {bad} has a coordinate beyond the float range") from None
 
 
+def _value_eq(self, other):
+    """`==` for the frozen value types that hold arrays: the same class, and
+    every compared field equal, arrays in shape and every entry, other fields
+    by `==`. Hashing stays a TypeError, as arrays do not hash."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        if f.compare:
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class StateSet:
     """Ordered set of N distinct energy points in R^dim.
@@ -79,6 +93,8 @@ class StateSet:
     _vh: np.ndarray = field(init=False, repr=False, compare=False)
     # filled by `polytope.convex_hull` on first use; not part of the value
     _hull: Polytope | None = field(default=None, init=False, repr=False, compare=False)
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
@@ -123,6 +139,8 @@ class Observable:
 
     values: np.ndarray
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         vals = np.atleast_1d(_float_array(self.values, "observable has a value"))
         if vals.ndim != 1 or vals.size < 1:
@@ -143,6 +161,8 @@ class CoVector:
     product."""
 
     components: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         comp = np.atleast_1d(_float_array(self.components, "covector has a component"))

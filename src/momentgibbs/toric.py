@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroWeights, LengthMismatch
-from .state_space import StateSet, _float_array, covector_array
+from .state_space import StateSet, _float_array, _value_eq, covector_array
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,8 @@ class WeightVector:
     """Squared-magnitude homogeneous coordinates, one weight per state."""
 
     weights: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         w = np.atleast_1d(_float_array(self.weights, "weights have an entry"))

@@ -1,11 +1,19 @@
 import json
+import os
 import pathlib
 
 import pytest
 
 import momentgibbs as mg
 
-DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "data"
+
+# the CLI tests start `python -m momentgibbs` in child processes: give them
+# the src/ that pyproject.toml puts on this process's path
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def load_doc(name: str) -> dict:

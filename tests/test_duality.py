@@ -124,3 +124,11 @@ def test_direct_image_base_change():
     ).matrix
     project_then_restrict = mg.quadratic_direct_image(mg.QuadraticForm(m), 2).matrix[:1, :1]
     assert restrict_then_project == pytest.approx(project_then_restrict, abs=1e-12)
+
+
+def test_quadratic_form_compares_by_value():
+    q = mg.QuadraticForm([[2.0, 0.5], [0.5, 1.0]])
+    assert q == mg.QuadraticForm([[2.0, 0.5], [0.5, 1.0]])
+    assert q != mg.QuadraticForm([[2.0, 0.5], [0.5, 3.0]])
+    assert q != mg.QuadraticForm(np.eye(3))
+    assert q != [[2.0, 0.5], [0.5, 1.0]]

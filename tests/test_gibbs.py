@@ -216,3 +216,12 @@ def test_partition_finite_and_normalized(values, beta):
     assert math.isfinite(mg.log_partition(A, [beta]))
     p = mg.gibbs_distribution(A, [beta]).probs
     assert abs(p.sum() - 1.0) <= 1e-12
+
+
+def test_distribution_compares_by_value(two_state, three_state):
+    p = mg.Distribution([0.25, 0.75], two_state)
+    assert p == mg.Distribution([0.25, 0.75], mg.new_state_set(1, [[0], [1]]))
+    assert p != mg.Distribution([0.75, 0.25], two_state)
+    assert p != mg.Distribution([0.25, 0.5, 0.25], three_state)
+    assert p != mg.Distribution([0.25, 0.75], mg.new_state_set(1, [[0], [2]]))
+    assert p != [0.25, 0.75]

@@ -208,3 +208,12 @@ def test_measure_maximized_near_expected_counts():
         # the mode tracks total * p; per coordinate it can land just past
         # the neighboring integer (observed up to ~1.01), never further
         assert np.abs(np.array(best_counts) - total * probs).max() <= 1.5
+
+
+def test_microstate_counts_compare_by_value(two_state, three_state):
+    c = mg.MicrostateCounts([3, 1], 4, 7, two_state)
+    assert c == mg.MicrostateCounts([3, 1], 4, 7, mg.new_state_set(1, [[0], [1]]))
+    assert c != mg.MicrostateCounts([2, 2], 4, 7, two_state)
+    assert c != mg.MicrostateCounts([3, 1], 4, 8, two_state)
+    assert c != mg.MicrostateCounts([3, 1, 0], 4, 7, three_state)
+    assert c != [3, 1]

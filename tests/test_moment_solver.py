@@ -7,6 +7,7 @@ import pytest
 import momentgibbs as mg
 from momentgibbs.gibbs import _covariance
 from momentgibbs.moment_solver import _newton_step
+from momentgibbs.state_space import affine_frame, point_array
 from oracles import central_gradient, max_entropy_on_fiber
 
 LOG3 = math.log(3.0)
@@ -232,6 +233,89 @@ def test_newton_step_refuses_non_finite_input():
             for step in (_newton_step, _wrapper_step):
                 with pytest.raises(ValueError, match=message):
                     step(hess, grad)
+
+
+def _two_pass_guard(A, target):
+    """Reference: the feasibility guard as two passes, the solver's span test
+    and then a full `interior_margin` that coerces and tests the target again
+    and computes its own facet norms. Returns the margin or raises what the
+    solver raises."""
+    def span_violation(Q, p):
+        eqs = Q.span_equations
+        viol = float(np.abs(eqs[:, :-1] @ p - eqs[:, -1]).max(initial=0.0))
+        return viol if viol > 1e-9 * max(1.0, float(np.abs(p).max())) else 0.0
+
+    t = point_array(target, A.dim)
+    Q = mg.convex_hull(A)
+    off = span_violation(Q, t)
+    if off:
+        raise mg.TargetOutsideHull(-off, f"target is {off:.3g} off the affine span of the states")
+    p = point_array(t, Q.ambient_dim)
+    viol = span_violation(Q, p)
+    if viol:
+        raise mg.OffAffineSpan(f"point is {viol:.3g} off the affine span of the states")
+    normals = Q.facets[:, :-1]
+    margins = (normals @ p - Q.facets[:, -1]) / np.linalg.norm(normals, axis=1)
+    margin = float(margins.min(initial=math.inf))
+    btol = 1e-9 * Q.diameter
+    if margin < -btol:
+        raise mg.TargetOutsideHull(margin)
+    if margin <= btol:
+        raise mg.TargetOnBoundary(
+            margin,
+            f"target margin {margin:.3g} is within {btol:.3g} of the hull boundary; "
+            "beta diverges there (see polytope.tropical_limit for the limiting face)",
+        )
+    return margin
+
+
+def _guard_sets():
+    rng = np.random.Generator(np.random.Philox(key=45))
+    yield np.array([[4.0]])
+    for d in range(1, 7):
+        pts = rng.normal(size=(d + 6, d)) * 10.0 ** rng.integers(-2, 3)
+        yield pts
+        yield np.unique(rng.integers(-3, 4, size=(d + 6, d)), axis=0).astype(float)
+        # the same kind of set in a larger ambient space: a reduced solve
+        embed = rng.normal(size=(d + 2, d))
+        yield pts @ embed.T + rng.normal(size=d + 2)
+
+
+def test_guard_matches_two_pass_reference():
+    rng = np.random.Generator(np.random.Philox(key=46))
+    outcomes = set()
+    for pts in _guard_sets():
+        A = mg.new_state_set(pts.shape[1], pts)
+        Q = mg.convex_hull(A)
+        center = A.points.mean(axis=0)
+        vertex = A.points[Q.vertices[-1]]
+        targets = [
+            mg.mean_energy(A, rng.normal(size=A.dim) / max(Q.diameter, 1.0)),  # inside
+            center + 1.5 * (vertex - center),  # outside
+            vertex,  # on the boundary
+            center + (1 - 1e-12) * (vertex - center),  # within the boundary tolerance
+            (A.points[Q.vertices[0]] + vertex) / 2,  # an edge midpoint or a chord
+            list(center),
+        ]
+        if A.affine_dim < A.dim:
+            normal = affine_frame(A)[2][:, 0]
+            targets += [center + s * normal for s in (1e-3, 1e-12, -5.0)]  # off the span
+        targets.append(np.append(center, 0.0))  # the wrong dimension
+        for t in targets:
+            try:
+                expected = _two_pass_guard(A, t)
+            except ValueError as ref:
+                with pytest.raises(type(ref)) as err:
+                    mg.invert_mean_energy(A, t)
+                assert str(err.value) == str(ref)
+                if hasattr(ref, "margin"):
+                    assert err.value.margin.hex() == ref.margin.hex()
+                outcomes.add(type(ref))
+            else:
+                assert expected > 0.0
+                assert mg.invert_mean_energy(A, t).converged
+                outcomes.add(None)
+    assert outcomes == {None, mg.TargetOutsideHull, mg.TargetOnBoundary, mg.DimensionMismatch}
 
 
 def test_results_compare_by_identity(square):

@@ -119,7 +119,7 @@ def test_hull_memoized_per_state_set():
     assert mg.convex_hull(A) is Q
     # the memo is not part of the value
     assert repr(A) == repr(mg.new_state_set(3, pts))
-    single = mg.new_state_set(1, [[3.0]])  # one coordinate, so == is defined
+    single = mg.new_state_set(1, [[3.0]])
     mg.convex_hull(single)
     assert single == mg.new_state_set(1, [[3.0]])
     # a solve on the memoized hull matches one on a fresh set, bit for bit
@@ -329,6 +329,11 @@ def test_halfspace_row_format():
         span_normals = Q.span_equations[:, :-1]
         assert np.allclose(np.linalg.norm(span_normals, axis=1), 1.0)
         assert np.allclose(A.points @ span_normals.T, Q.span_equations[:, -1])
+        # facet norms: computed once with the hull, read-only, not in the repr
+        norms = Q._facet_norms
+        assert not norms.flags.writeable
+        assert norms.tobytes() == np.linalg.norm(Q.facets[:, :-1], axis=1).tobytes()
+        assert "_facet_norms" not in repr(Q)
 
 
 def _per_facet_margin(Q, p):
@@ -364,8 +369,12 @@ def test_margin_matches_per_facet_reference():
         center = A.points.mean(axis=0)
         targets += [center + s * (A.points[Q.vertices[-1]] - center) for s in (0.5, 1.0, 1.5)]
         btol = 1e-9 * Q.diameter
+        normals, offsets = Q.facets[:, :-1], Q.facets[:, -1]
         for t in targets:
             mine, ref = mg.interior_margin(Q, t), _per_facet_margin(Q, t)
+            # the batched formula with norms computed on the spot, to the bit
+            formula = (normals @ t - offsets) / np.linalg.norm(normals, axis=1)
+            assert mine.hex() == float(formula.min(initial=math.inf)).hex()
             assert abs(mine - ref) <= 1e-15 * (Q.diameter + np.abs(t).max())
             assert (mine > btol, mine >= -btol) == (ref > btol, ref >= -btol)
 

@@ -225,3 +225,29 @@ def test_shipped_files_parse():
     for path in sorted(DATA_DIR.glob("*.json")):
         A = mg.state_set_from_json(json.loads(path.read_text()))
         assert len(A) >= 1
+
+
+def test_state_set_compares_by_value():
+    pts = [[0, 0], [1, 0], [0, 1]]
+    A = mg.new_state_set(2, pts)
+    assert A == mg.new_state_set(2, pts)
+    assert A != mg.new_state_set(2, [[0, 0], [1, 0], [0, 2]])
+    assert A != mg.new_state_set(2, pts, labels=["a", "b", "c"])
+    assert A != mg.new_state_set(2, pts + [[1, 1]])
+    assert A != pts
+
+
+def test_covector_compares_by_value():
+    b = mg.CoVector([1.0, -2.0])
+    assert b == mg.CoVector([1.0, -2.0])
+    assert b != mg.CoVector([1.0, 2.0])
+    assert b != mg.CoVector([1.0, -2.0, 0.0])
+    assert b != mg.Observable([1.0, -2.0])
+
+
+def test_observable_compares_by_value():
+    f = mg.Observable([0.5, 1.5, 2.0])
+    assert f == mg.Observable([0.5, 1.5, 2.0])
+    assert f != mg.Observable([0.5, 1.5, 2.5])
+    assert f != mg.Observable([0.5, 1.5])
+    assert f != [0.5, 1.5, 2.0]

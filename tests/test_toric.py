@@ -104,3 +104,11 @@ def test_vertex_weights_map_to_vertex(square):
         assert np.array_equal(
             mg.projective_moment(square, mg.WeightVector(w)), square.points[i]
         )
+
+
+def test_weight_vector_compares_by_value():
+    w = mg.WeightVector([1.0, 0.5])
+    assert w == mg.WeightVector([1.0, 0.5])
+    assert w != mg.WeightVector([1.0, 0.25])
+    assert w != mg.WeightVector([1.0, 0.5, 0.5])
+    assert w != mg.CoVector([1.0, 0.5])
