@@ -22,16 +22,7 @@ import numpy as np
 
 from .duality import legendre_residual, legendre_roundtrip
 from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
-from .gibbs import (
-    Distribution,
-    _entropy,
-    _log_weights,
-    _normalized,
-    entropy,
-    gibbs_distribution,
-    gibbs_summary,
-    mean_energy,
-)
+from .gibbs import entropy, gibbs_distribution, gibbs_summary, mean_energy
 from .microstates import (
     GENERATOR_NAME,
     log_equilibrium_count,
@@ -120,13 +111,16 @@ def _command(body):
     parameter, a StateSet, and builds the set from it. Invalid input found at
     any stage (building the set, parsing options, computing) becomes an error
     payload through `_error_result`: exit 3 for an infeasible target, 4 for a
-    solve that hit its iteration cap, 2 for anything else.
+    solve that hit its iteration cap, 2 for anything else. numpy's
+    floating-point warnings are silenced, so stderr gets only the diagnostic
+    line; non-finite weights, targets and margins fail explicit checks.
     """
 
     @functools.wraps(body)
     def command(doc, *args, **kwargs) -> CommandResult:
         try:
-            return body(state_set_from_json(doc), *args, **kwargs)
+            with np.errstate(all="ignore"):
+                return body(state_set_from_json(doc), *args, **kwargs)
         except (ValueError, NoConvergence) as exc:
             return _error_result(exc)
 
@@ -192,10 +186,8 @@ def cmd_sweep(
     beta[np.arange(A.dim) != axis] = held
     for value in np.linspace(start, stop, steps):
         beta[axis] = value
-        # gibbs_summary's steps and checks, less the covariance no cell prints
-        log_z, p = _normalized(_log_weights(A, beta))
-        Distribution(p, A)
-        cells = [value, *(p @ A.points), _entropy(p), log_z]
+        s = gibbs_summary(A, beta)
+        cells = [value, *s.mean_energy, s.entropy, s.log_z]
         lines.append(",".join(_fmt(c) for c in cells))
     return CommandResult(0, "\n".join(lines))
 

@@ -53,7 +53,7 @@ class QuadraticForm:
 
     def value(self, x) -> float:
         """f(x) = -x' M x."""
-        v = np.atleast_1d(_float_array(x, "point has a coordinate"))
+        v = point_array(x, self.dim)
         return -float(v @ self.matrix @ v)
 
 

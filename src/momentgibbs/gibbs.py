@@ -53,14 +53,21 @@ class Distribution:
 class GibbsSummary:
     """Bundle of the forward quantities at one inverse temperature.
 
-    Summaries compare and hash by identity.
+    `covariance` is computed from the summary's weights on each read, so
+    callers that never read it never pay for it. Summaries compare and hash
+    by identity.
     """
 
     log_z: float
     distribution: Distribution
     mean_energy: np.ndarray
-    covariance: np.ndarray
     entropy: float
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """Covariance of the energy points under the summary's weights."""
+        p = self.distribution
+        return _covariance(p.parent.points, p.probs, self.mean_energy)
 
 
 def _log_weights(A: StateSet, beta) -> np.ndarray:
@@ -131,8 +138,7 @@ def entropy(p: Distribution) -> float:
 
 
 def gibbs_summary(A: StateSet, beta) -> GibbsSummary:
-    """All forward quantities from a single pass over the states."""
+    """All forward quantities from a single pass over the states; the
+    covariance is computed from the summary's weights on each read."""
     log_z, probs = _normalized(_log_weights(A, beta))
-    mean = probs @ A.points
-    cov = _covariance(A.points, probs, mean)
-    return GibbsSummary(log_z, Distribution(probs, A), mean, cov, _entropy(probs))
+    return GibbsSummary(log_z, Distribution(probs, A), probs @ A.points, _entropy(probs))

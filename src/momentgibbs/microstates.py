@@ -7,7 +7,8 @@ contract so counts freeze across platforms:
   * bit generator: numpy's Philox4x64-10 counter-based generator, keyed
     directly with the user seed (counter starts at zero);
   * one uniform double per particle via the 53-bit conversion of
-    ``Generator.random``;
+    ``Generator.random``, drawn in blocks of 2**20 (the counts do not depend
+    on the block size);
   * each particle is placed by right-bisecting the inclusive cumulative sums
     of the probabilities (the last edge pinned to 1.0).
 
@@ -29,6 +30,10 @@ from .gibbs import Distribution
 from .state_space import StateSet, _value_eq
 
 GENERATOR_NAME = "philox4x64-10"
+
+# Draws per block: memory stays O(block) for any total, and the stream hands
+# out the same doubles in the same order whatever the block size.
+_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,10 @@ def sample_counts(p: Distribution, total: int, seed: int) -> MicrostateCounts:
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     edges = np.cumsum(p.probs)
     edges[-1] = 1.0
-    draws = rng.random(total)
-    states = np.searchsorted(edges, draws, side="right")
-    counts = np.bincount(states, minlength=len(p)).astype(np.int64)
+    counts = np.zeros(len(p), dtype=np.int64)
+    for start in range(0, total, _BLOCK):
+        draws = rng.random(min(_BLOCK, total - start))
+        counts += np.bincount(np.searchsorted(edges, draws, side="right"), minlength=len(p))
     return MicrostateCounts(counts, total, int(seed), p.parent)
 
 

@@ -88,7 +88,6 @@ def _enumerate_hull(A: StateSet) -> Polytope:
         )
 
     if d == A.dim:
-        origin = np.zeros(A.dim)
         span = None
         reduced = A.points
         span_eqs = np.zeros((0, A.dim + 1))

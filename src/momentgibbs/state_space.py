@@ -179,12 +179,7 @@ class CoVector:
 
     def pairing(self, point) -> float:
         """(beta, omega) = sum_i beta_i * omega_i."""
-        p = np.atleast_1d(_float_array(point, "point has a coordinate"))
-        if p.shape != self.components.shape:
-            raise DimensionMismatch(
-                f"point has {p.shape[0]} coordinates, covector has {self.components.shape[0]}"
-            )
-        return float(self.components @ p)
+        return float(self.components @ point_array(point, len(self)))
 
 
 def _check_distinct(pts: np.ndarray) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroWeights, LengthMismatch
+from .gibbs import _log_weights
 from .state_space import StateSet, _float_array, _value_eq, covector_array
 
 
@@ -46,8 +47,7 @@ def positive_point(A: StateSet, beta) -> WeightVector:
     The rescaling is a projective no-op and keeps the representation finite
     for any finite beta.
     """
-    b = covector_array(beta, A.dim)
-    log_w = -(A.points @ b)
+    log_w = _log_weights(A, beta)
     return WeightVector(np.exp(log_w - log_w.max()))
 
 

@@ -15,6 +15,9 @@ from momentgibbs.gibbs import gibbs_summary
 from momentgibbs.state_space import state_set_from_json
 from conftest import DATA_DIR, load_doc
 
+# a numpy warning that escapes an in-process command fails its test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def payload(result):
     assert result.exit_code == 0, result.diagnostics
@@ -332,6 +335,30 @@ def test_subprocess_exit_codes():
         ).returncode
         == 4
     )
+
+
+@pytest.mark.parametrize(
+    "points, argv, code, kind",
+    [
+        (
+            [[1e200], [2e200]],
+            ["sweep", "-", "--from", "1e200", "--to", "2e200", "--steps", "2"],
+            2,
+            "ValueError",
+        ),
+        ([[1e200], [2e200]], ["forward", "-", "--beta", "1e200"], 2, "ValueError"),
+        ([[0], [1e200]], ["invert", "-", "--mean", "5e199"], 3, "TargetOnBoundary"),
+    ],
+)
+def test_subprocess_stderr_is_the_diagnostic_line(points, argv, code, kind):
+    # numpy's RuntimeWarnings used to reach stderr ahead of the diagnostic
+    doc = json.dumps({"dim": 1, "points": points})
+    run = subprocess.run(
+        [sys.executable, "-m", "momentgibbs", *argv], input=doc, capture_output=True, text=True
+    )
+    err = json.loads(run.stdout)["error"]
+    assert run.returncode == code and err["type"] == kind
+    assert run.stderr == f"{err['type']}: {err['message']}\n"
 
 
 _PRINT_SCIPY_MODULES = (

@@ -54,6 +54,11 @@ def test_quadratic_form_validation():
     f = mg.QuadraticForm([[2.0, 0.0], [0.0, 3.0]])
     assert f.dim == 2
     assert f.value([1.0, 1.0]) == pytest.approx(-5.0)
+    # used to return nan with a numpy warning, and to raise numpy's matmul message
+    with pytest.raises(ValueError, match="finite"):
+        mg.QuadraticForm(np.eye(2)).value([np.inf, 0.0])
+    with pytest.raises(mg.DimensionMismatch, match="expected 2"):
+        f.value([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="symmetric"):
         mg.QuadraticForm([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(mg.NotNegativeDefinite):

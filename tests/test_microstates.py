@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import momentgibbs as mg
+import momentgibbs.microstates as microstates
 
 
 def uniform(n_states):
@@ -37,6 +39,32 @@ def test_sampling_is_deterministic(two_state):
     assert a.total == 1000 and a.seed == 123
     c = mg.sample_counts(p, 1000, 124)
     assert not np.array_equal(a.counts, c.counts)
+
+
+def test_block_size_does_not_move_the_counts(monkeypatch, three_state):
+    # a one-shot draw of the whole stream is the reference
+    p = mg.Distribution([0.2, 0.5, 0.3], three_state)
+    monkeypatch.setattr(microstates, "_BLOCK", 1000)
+    for seed in (0, 7, 2**64 - 1):
+        for total in (1, 999, 1000, 1001, 3500, 10007):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            edges = np.cumsum(p.probs)
+            edges[-1] = 1.0
+            states = np.searchsorted(edges, rng.random(total), side="right")
+            expected = np.bincount(states, minlength=3)
+            assert mg.sample_counts(p, total, seed).counts.tolist() == expected.tolist()
+
+
+def test_sampling_memory_is_bounded(two_state):
+    # a single draw of all 4e6 doubles and their indices peaked near 61 MiB
+    p = mg.Distribution([0.5, 0.5], two_state)
+    tracemalloc.start()
+    try:
+        mg.sample_counts(p, 4_000_000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_counts_near_expectation(two_state):

@@ -181,8 +181,11 @@ def test_affine_frame_matches_separate_svds():
 def test_covector_pairing():
     b = mg.CoVector([2.0, -1.0])
     assert b.pairing([3.0, 4.0]) == 2.0
-    with pytest.raises(mg.DimensionMismatch):
+    with pytest.raises(mg.DimensionMismatch, match="expected 2"):
         b.pairing([1.0])
+    # used to return inf
+    with pytest.raises(ValueError, match="finite"):
+        b.pairing([np.inf, 0.0])
     with pytest.raises(ValueError):
         mg.CoVector([np.inf])
 
