@@ -1,8 +1,9 @@
 """Command-line front end: JSON state sets in, JSON or CSV results out.
 
-Numbers are serialized with 17 significant digits (%.17g), which
-round-trips doubles exactly, so identical invocations produce byte-identical
-payloads. Exit codes: 0 success, 2 invalid input, 3 infeasible target,
+Numbers are serialized with 17 significant digits (%.17g), which round-trips
+doubles exactly, so identical invocations produce byte-identical payloads; a
+non-finite number is refused, so stdout is strict JSON. Exit codes: 0 success,
+2 invalid input (or a result that is not a finite double), 3 infeasible target,
 4 convergence failure (and 1 when `check` finds a residual above tolerance).
 Each command is a `cmd_*` function, registered once in `_build_parser`; the
 exit-code mapping lives in one place, the `_command` error boundary that
@@ -52,16 +53,12 @@ class CommandResult:
 
 def _fmt(x: float) -> str:
     f = float(x)
-    if math.isnan(f):
-        return "NaN"
-    if math.isinf(f):
-        return "Infinity" if f > 0 else "-Infinity"
+    if not math.isfinite(f):
+        raise ValueError(f"a result is {f!r}, which is not a finite double")
     return format(f, ".17g")
 
 
 def _to_json(value) -> str:
-    if value is None:
-        return "null"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -94,7 +91,8 @@ def _result(fields: dict, code: int = 0, diagnostics: tuple[str, ...] = ()) -> C
 def _error_result(exc: Exception) -> CommandResult:
     kind = type(exc).__name__
     body: dict = {"type": kind, "message": str(exc)}
-    if isinstance(exc, (TargetOutsideHull, TargetOnBoundary)):
+    # a refusal whose margin is not a double is reported without one, as exit 2
+    if isinstance(exc, (TargetOutsideHull, TargetOnBoundary)) and math.isfinite(exc.margin):
         body["margin"] = exc.margin
         code = 3
     elif isinstance(exc, NoConvergence):
@@ -113,7 +111,7 @@ def _command(body):
     payload through `_error_result`: exit 3 for an infeasible target, 4 for a
     solve that hit its iteration cap, 2 for anything else. numpy's
     floating-point warnings are silenced, so stderr gets only the diagnostic
-    line; non-finite weights, targets and margins fail explicit checks.
+    line; non-finite weights and targets fail explicit checks, non-finite results fail `_fmt`.
     """
 
     @functools.wraps(body)

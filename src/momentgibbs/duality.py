@@ -35,8 +35,8 @@ class QuadraticForm:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        if np.abs(m - m.T).max() > 1e-12:
-            raise ValueError("matrix must be symmetric within 1e-12")
+        if np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
+            raise ValueError("matrix must be symmetric within 1e-12 of its largest entry")
         try:
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError:

@@ -11,14 +11,15 @@ cho_factor/cho_solve, so steps keep the wrappers' bits at a fraction of their
 per-call cost. When the factorization fails, the step retries with a ridge
 r * I: r starts at 1e-12 times the mean Hessian diagonal and grows tenfold per
 retry, 40 attempts in all.
-Degenerate point sets (affine span smaller than the ambient space) are first
-mapped to orthonormal span coordinates, where the Hessian is positive
-definite; the solved beta is lifted back with zero component along the span's
-annihilator.
+Newton runs in the state set's frame (points and target scaled by 2^-k, in
+orthonormal span coordinates when the set is degenerate, where the Hessian is
+positive definite), so a set and its 2^j multiple take the same steps. Beta
+is scaled back and lifted with zero component along the span's annihilator.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -27,10 +28,10 @@ import numpy as np
 from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
 from .gibbs import _covariance, _entropy, _normalized
 from .polytope import _margin, _span_violation, convex_hull
-from .state_space import CoVector, StateSet, affine_frame, point_array
+from .state_space import CoVector, StateSet, _frame_coords, affine_frame, point_array
 
-# targets closer to the boundary than this (relative to hull diameter) are
-# refused: the solution diverges there
+# targets closer to the boundary than this (relative to hull diameter, taken in
+# the set's unit, where it is finite) are refused: the solution diverges there
 _BOUNDARY_REL = 1e-9
 _ARMIJO = 1e-4
 # near the optimum the predicted decrease falls below the rounding noise of F
@@ -99,7 +100,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         raise TargetOutsideHull(-off, f"target is {off:.3g} off the affine span of the states")
 
     margin = _margin(hull, t_full)
-    btol = _BOUNDARY_REL * hull.diameter
+    btol = math.ldexp(_BOUNDARY_REL * hull._unit_diameter, A._exp)
     if margin < -btol:
         raise TargetOutsideHull(margin)
     if margin <= btol:
@@ -109,16 +110,8 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
             "beta diverges there (see polytope.tropical_limit for the limiting face)",
         )
 
-    reduced = A.affine_dim < A.dim
-    if reduced:
-        origin, span, _ = affine_frame(A)
-        pts = (A.points - origin) @ span
-        t = span.T @ (t_full - origin)
-    else:
-        span = None
-        pts = A.points
-        t = t_full
     d = A.affine_dim
+    reduced = d < A.dim
 
     if d == 0:
         # single state: the only admissible target is the point itself
@@ -131,7 +124,8 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
             reduced=reduced,
         )
 
-    scale = hull.diameter
+    pts = A._coords
+    t = _frame_coords(A, t_full)
     beta = np.zeros(d)
     log_z, p = _normalized(-(pts @ beta))
     iterations = 0
@@ -139,7 +133,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
     while True:
         mean = p @ pts
         grad = t - mean
-        grad_norm = float(np.abs(grad).max()) / scale
+        grad_norm = float(np.abs(grad).max()) / hull._unit_diameter
         converged = grad_norm <= opts.grad_tol
         if converged or iterations == opts.max_iter:
             break
@@ -165,9 +159,9 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
             break  # no representable progress left; the raise below reports it
         beta, log_z, p = cand, log_z_c, p_c
 
-    beta_full = span @ beta if reduced else beta
+    beta = np.ldexp(beta, -A._exp)
     report = SolveReport(
-        beta=CoVector(beta_full),
+        beta=CoVector(affine_frame(A)[1] @ beta if reduced else beta),
         iterations=iterations,
         grad_norm=grad_norm,
         entropy=_entropy(p),

@@ -20,7 +20,7 @@ from .state_space import StateSet, affine_frame, covector_array, point_array
 
 MAX_HULL_DIM = 6
 
-_SPAN_TOL = 1e-9  # span violations are distances; the bound scales with max(1, |x|_inf)
+_SPAN_TOL = 1e-9  # span violations are distances; the bound scales with the set's unit 2^k
 _TIE_REL = 1e-9
 _DIAM_ROWS = 256
 
@@ -47,9 +47,10 @@ class Polytope:
     (n-d, n+1) whose rows (unit normal, offset) read (normal, x) = offset and
     cut out the affine span; it has no rows when the points affinely span the
     ambient space, and otherwise the facet normals live inside the span.
-    The Euclidean norms of the facet normals are computed once, when the hull
-    is built, and kept in a private read-only array that `repr` leaves out;
-    every margin divides by them. Hulls compare and hash by identity.
+    It keeps its set's unit 2^k and its diameter in that unit, finite where
+    `diameter` overflows, and the facet normals' norms, computed once with it,
+    in a private read-only array that `repr` leaves out; every margin divides
+    by them. Hulls compare and hash by identity.
     """
 
     ambient_dim: int
@@ -57,7 +58,8 @@ class Polytope:
     vertices: tuple[int, ...]
     facets: np.ndarray
     span_equations: np.ndarray
-    diameter: float
+    _unit_diameter: float = field(repr=False)
+    _exp: int = field(repr=False)
     _facet_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -65,14 +67,18 @@ class Polytope:
         norms.setflags(write=False)
         object.__setattr__(self, "_facet_norms", norms)
 
+    @property
+    def diameter(self) -> float:
+        return float(np.ldexp(self._unit_diameter, self._exp))
+
 
 def convex_hull(A: StateSet) -> Polytope:
     """Vertices and facets of the hull of the points.
 
     Dimensions 0 to 2 (after span reduction) are enumerated directly;
-    dimensions 3 to 6 go through qhull with coplanar facet merging. Output
-    order is deterministic: vertex indices ascending, facets sorted by their
-    (normal, offset) coefficients. The hull is computed once per state set
+    dimensions 3 to 6 go through qhull, in the set's unit 2^k, with coplanar
+    facet merging. Output order is deterministic: vertex indices ascending,
+    facets sorted by their normals. The hull is computed once per state set
     and shared by every later call.
     """
     if A._hull is None:
@@ -87,46 +93,40 @@ def _enumerate_hull(A: StateSet) -> Polytope:
             f"hull enumeration supports affine dimension <= {MAX_HULL_DIM}, got {d}"
         )
 
-    if d == A.dim:
-        span = None
-        reduced = A.points
-        span_eqs = np.zeros((0, A.dim + 1))
-    else:
-        origin, span, comp = affine_frame(A)
-        reduced = (A.points - origin) @ span
-        # one product per column, as for the facets below
-        span_eqs = np.column_stack([comp.T + 0.0, [c @ origin for c in comp.T]])
+    origin, span, comp = affine_frame(A)
+    # one product per column, as for the facets below; no rows at full dimension
+    span_eqs = np.column_stack([comp.T + 0.0, [c @ origin for c in comp.T]])
     span_eqs.setflags(write=False)
 
     if d == 0:
         vertices: list[int] = [0]
         normals, offsets = np.zeros((0, 0)), np.zeros(0)
     elif d == 1:
-        vertices, normals, offsets = _hull_interval(reduced[:, 0])
+        vertices, normals, offsets = _hull_interval(A._coords[:, 0])
     elif d == 2:
-        vertices, normals, offsets = _hull_planar(
-            reduced, keep_integer=A.is_lattice and span is None
-        )
+        vertices, normals, offsets = _hull_planar(A._coords, A._exp, A.is_lattice and d == A.dim)
     else:
-        vertices, normals, offsets = _hull_qhull(reduced)
+        vertices, normals, offsets = _hull_qhull(A._coords)
+    offsets = np.ldexp(offsets, A._exp)  # enumerated in the set's unit 2^k
 
-    if span is not None:
+    if len(span_eqs):
         # one product per facet: a batched product may sum in another order
         normals = np.array([span @ n for n in normals]).reshape(-1, A.dim)
         offsets = offsets + np.array([n @ origin for n in normals])
-    # +0.0 canonicalizes -0.0 normal entries; offsets keep their sign
+    # +0.0 canonicalizes -0.0 normals; offsets keep their sign. Distinct facets
+    # have distinct normals, so the normals alone order them (no offset overflows)
     rows = np.column_stack([normals + 0.0, offsets])
-    facets = rows[np.lexsort(np.round(rows, 12).T[::-1])]
+    facets = rows[np.lexsort(np.round(rows[:, :-1], 12).T[::-1])]
     facets.setflags(write=False)
 
     verts = tuple(sorted(int(i) for i in vertices))
-    vp = A.points[list(verts)]
+    vp = np.ldexp(A.points[list(verts)], -A._exp)
     diam = 0.0
     # blocks of rows keep the pairwise differences linear in the vertex count
     for lo in range(0, len(vp), _DIAM_ROWS):
         gaps = vp[lo : lo + _DIAM_ROWS, None, :] - vp[None, :, :]
         diam = max(diam, float(np.linalg.norm(gaps, axis=-1).max()))
-    return Polytope(A.dim, d, verts, facets, span_eqs, diam)
+    return Polytope(A.dim, d, verts, facets, span_eqs, diam, A._exp)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -141,9 +141,10 @@ def _hull_interval(t: np.ndarray):
     return [imin, imax], np.array([[1.0], [-1.0]]), np.array([t[imin], -t[imax]])
 
 
-def _hull_planar(pts: np.ndarray, keep_integer: bool):
-    """Monotone chain in the plane; returns CCW vertices and edge halfspaces."""
-    scale = max(1.0, float(np.abs(pts).max()))
+def _hull_planar(pts: np.ndarray, k: int, keep_integer: bool):
+    """Monotone chain in the plane; returns CCW vertices and edge halfspaces
+    (integer normals of a lattice set are scaled back from the unit 2^k)."""
+    scale = float(np.abs(pts).max())
     eps = 1e-9 * scale * scale  # cross products scale quadratically
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     order = sorted(range(len(xs)), key=lambda i: (xs[i], ys[i]))
@@ -167,8 +168,7 @@ def _hull_planar(pts: np.ndarray, keep_integer: bool):
     for a, b in zip(ring, ring[1:] + ring[:1]):
         edge = pts[b] - pts[a]
         normal = np.array([-edge[1], edge[0]])  # interior is left of a->b
-        if not keep_integer:
-            normal = normal / np.linalg.norm(normal)
+        normal = np.ldexp(normal, k) if keep_integer else normal / np.linalg.norm(normal)
         normals.append(normal)
         offsets.append(float(normal @ pts[a]))
     return ring, np.array(normals), np.array(offsets)
@@ -181,21 +181,21 @@ def _hull_qhull(pts: np.ndarray):
     hull = ConvexHull(pts)
     # inside the hull: equations[:, :-1] @ x + equations[:, -1] <= 0
     rows = np.column_stack([-hull.equations[:, :-1], hull.equations[:, -1]])
-    scale = max(1.0, float(np.abs(pts).max()))
-    tol = 1e-7 * scale
+    # unit normals as they are, offsets in units of the largest coordinate
+    key = rows / np.append(np.ones(pts.shape[1]), np.abs(pts).max())
     # cheap bulk collapse by rounding, then a tolerance pass for rows that
     # straddle a rounding boundary
-    _, first = np.unique(np.round(rows / scale, 9), axis=0, return_index=True)
-    cand = rows[np.sort(first)]
-    # greedy in candidate order: a kept row drops every row within tol of it
+    _, first = np.unique(np.round(key, 9), axis=0, return_index=True)
+    first = np.sort(first)
+    # greedy in candidate order: a kept row drops every row within 1e-7 of it
     # (max-norm). Pairs come sorted by their first index, so a row's own fate
     # is settled before the pairs it heads are read.
     dropped: set[int] = set()
-    for i, j in sorted(cKDTree(cand).query_pairs(tol, p=np.inf)):
+    for i, j in sorted(cKDTree(key[first]).query_pairs(1e-7, p=np.inf)):
         if i not in dropped:
             dropped.add(j)
-    keep = [i for i in range(len(cand)) if i not in dropped]
-    return sorted(int(v) for v in hull.vertices), cand[keep, :-1], cand[keep, -1]
+    keep = first[[i for i in range(len(first)) if i not in dropped]]
+    return sorted(int(v) for v in hull.vertices), rows[keep, :-1], rows[keep, -1]
 
 
 def interior_margin(Q: Polytope, x) -> float:
@@ -219,12 +219,12 @@ def _margin(Q: Polytope, p: np.ndarray) -> float:
 
 def _span_violation(Q: Polytope, p: np.ndarray) -> float:
     """Distance from p to the affine span of the hull, or 0.0 when it is within
-    `_SPAN_TOL` times the largest coordinate of p (floored at 1)."""
+    `_SPAN_TOL` times the unit 2^k of the hull's state set."""
     eqs = Q.span_equations
     if not len(eqs):
         return 0.0
     viol = float(np.abs(eqs[:, :-1] @ p - eqs[:, -1]).max())
-    return viol if viol > _SPAN_TOL * max(1.0, float(np.abs(p).max())) else 0.0
+    return viol if viol > math.ldexp(_SPAN_TOL, Q._exp) else 0.0
 
 
 def min_face(A: StateSet, direction) -> FaceResult:

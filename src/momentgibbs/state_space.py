@@ -10,6 +10,7 @@ between two threads that fill it at once is harmless.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DuplicatePoint, EmptyStateSet, LengthMismatch
 
-# Singular values below RANK_TOL * max(largest singular value, 1) count as zero
-# when computing the affine dimension.
+# Singular values below RANK_TOL times the largest one count as zero when
+# computing the affine dimension; the test is relative, so it holds at any scale.
 RANK_TOL = 1e-9
 
 _JSON_KEYS = {"dim", "points", "labels"}
@@ -78,10 +79,12 @@ def _value_eq(self, other):
 class StateSet:
     """Ordered set of N distinct energy points in R^dim.
 
-    Construction does one thin SVD of the centered points; `affine_dim` (the
-    dimension of the affine span) and the frame `affine_frame` returns are both
-    read from it. `is_lattice` records whether every input coordinate was an
-    integer. Points are stored as float64 exactly as given.
+    Construction picks the set's frame, the unit 2^k with k the binary exponent
+    of the largest |coordinate|, and does one thin SVD of the 2^-k-scaled
+    centered points. `affine_dim` and the frame `affine_frame` returns are read
+    from it, and the solver's coordinates (`_frame_coords` of the points) are
+    cached read-only. `is_lattice` records whether every input coordinate was
+    an integer. Points are stored as float64 exactly as given.
     """
 
     dim: int
@@ -89,8 +92,10 @@ class StateSet:
     labels: tuple[str, ...] | None = None
     affine_dim: int = field(init=False)
     is_lattice: bool = field(init=False)
-    # right singular vectors of points - points[0]; all n rows (see __post_init__)
+    # the frame: k, all n right singular vectors (see __post_init__), coordinates
+    _exp: int = field(init=False, repr=False, compare=False)
     _vh: np.ndarray = field(init=False, repr=False, compare=False)
+    _coords: np.ndarray = field(init=False, repr=False, compare=False)
     # filled by `polytope.convex_hull` on first use; not part of the value
     _hull: Polytope | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -116,13 +121,18 @@ class StateSet:
             object.__setattr__(self, "labels", labels)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        k = math.frexp(float(np.abs(pts).max()))[1]
+        unit = np.ldexp(pts, -k)
         # thin when N >= n; with fewer points than coordinates the complement
         # needs all n rows of vh, and the left factor is at most n x n anyway
-        _, s, vh = np.linalg.svd(pts - pts[0], full_matrices=pts.shape[0] < self.dim)
+        _, s, vh = np.linalg.svd(unit - unit[0], full_matrices=pts.shape[0] < self.dim)
         vh.setflags(write=False)
+        object.__setattr__(self, "_exp", k)
         object.__setattr__(self, "_vh", vh)
-        tol = RANK_TOL * max(float(s[0]), 1.0)
-        object.__setattr__(self, "affine_dim", int(np.sum(s > tol)))
+        object.__setattr__(self, "affine_dim", int(np.sum(s > RANK_TOL * s[0])))
+        coords = _frame_coords(self, pts)
+        coords.setflags(write=False)
+        object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "is_lattice", bool(np.all(pts == np.rint(pts))))
 
     def __len__(self) -> int:
@@ -213,6 +223,14 @@ def affine_frame(A: StateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     d = A.affine_dim
     return A.points[0].copy(), A._vh[:d].T.copy(), A._vh[d:].T.copy()
+
+
+def _frame_coords(A: StateSet, x: np.ndarray) -> np.ndarray:
+    """Points (rows) or a point scaled by 2^-k; centered span coordinates if reduced."""
+    unit = np.ldexp(x, -A._exp)
+    if A.affine_dim == A.dim:
+        return unit
+    return (unit - np.ldexp(A.points[0], -A._exp)) @ A._vh[: A.affine_dim].T.copy()
 
 
 def covector_array(beta, dim: int) -> np.ndarray:

@@ -198,13 +198,95 @@ def test_main_tolerance_flags_exit_2(capsys):
 
 
 def test_to_json_arrays():
-    assert cli._to_json(np.array([np.nan, np.inf, -np.inf, -0.0])) == "[NaN,Infinity,-Infinity,-0]"
+    # strict JSON has no NaN or Infinity: a payload holding one is refused
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not a finite double"):
+            cli._to_json(np.array([1.0, bad]))
+    assert cli._to_json(np.array([-0.0])) == "[-0]"
     # the bytes of the float lists the payloads were once built from
     matrix = np.array([[0.1, -2.0], [1e-300, 3.0]])
     assert cli._to_json(matrix) == cli._to_json([[float(v) for v in row] for row in matrix])
     assert cli._to_json(matrix) == "[[0.10000000000000001,-2],[1e-300,3]]"
     ints = np.array([3, -1, 0], dtype=np.int64)
     assert cli._to_json(ints) == cli._to_json([float(v) for v in ints]) == "[3,-1,0]"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# edge documents, each with the argvs run on it and, where the outcome is the
+# point, its exit code and error type
+_EDGE_DOCS = {
+    "midpoint_1e200": ([[0], [1e200]], [
+        (["invert", "--mean", "5e199"], 0, None),
+        (["invert", "--mean", "1e200"], 3, "TargetOnBoundary"),
+        (["forward", "--beta", "1e-200"], 2, "ValueError"),  # the covariance overflows
+        (["forward", "--beta", "0"], 2, "ValueError"),
+    ]),
+    "pm_1.7e308": ([[-1.7e308], [1.7e308]], [
+        (["invert", "--mean", "0"], 0, None),
+        (["hull"], 0, None),
+        (["forward", "--beta", "1e-200"], 2, "ValueError"),
+    ]),
+    "pair_1e200": ([[1e200], [2e200]], [(["invert", "--mean", "1.5e200"], 0, None)]),
+    # a target so far off the span that its margin is not a double: reported
+    # without a margin, as exit 2
+    "diagonal": ([[0, 0], [1, 1]], [
+        (["invert", "--mean", "1.7e308,-1.7e308"], 2, "TargetOutsideHull"),
+    ]),
+}
+
+
+def _every_command(path, doc):
+    """One argv of each command on a state set document."""
+    pts = np.array(doc["points"], dtype=float)
+    ones = ",".join(["1"] * doc["dim"])
+    return [
+        ["forward", path, "--beta", ones],
+        ["invert", path, "--mean", ",".join(repr(float(v)) for v in pts.mean(axis=0))],
+        ["hull", path],
+        ["limit", path, "--direction", ones],
+        ["toric", path, "--beta", ones],
+        ["microstates", path, "--total", "50", "--seed", "3", "--beta", ones],
+        ["check", path, "--points", "5"],
+        ["sweep", path, "--from", "-2", "--to", "2", "--steps", "5"],
+    ]
+
+
+def _strict_json_cases(tmp_path):
+    """(argv, expected exit code or None, expected error type or None): the
+    golden argvs, every command on every data/ file, and the edge documents."""
+    from test_cli_golden import CASES
+
+    argvs = list(CASES.values())
+    for path in sorted(DATA_DIR.glob("*.json")):
+        argvs += _every_command(str(path), json.loads(path.read_text()))
+    cases = [(argv, None, None) for argv in argvs]
+    for name, (points, runs) in _EDGE_DOCS.items():
+        doc = {"dim": len(points[0]), "points": points}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        cases += [([cmd, str(path), *args], code, kind) for (cmd, *args), code, kind in runs]
+        cases += [(argv, None, None) for argv in _every_command(str(path), doc)]
+    return cases
+
+
+def test_every_json_stdout_is_strict_json(tmp_path, capsys):
+    cases = _strict_json_cases(tmp_path)
+    for argv, code, kind in cases:
+        got = cli.main(argv)
+        out = capsys.readouterr().out
+        assert got in (0, 1, 2, 3, 4) and (code is None or got == code), argv
+        if argv[0] == "sweep" and got == 0:
+            cells = [c for line in out.splitlines()[1:] for c in line.split(",")]
+            assert all(math.isfinite(float(c)) for c in cells), argv
+            continue
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        assert kind is None or doc["error"]["type"] == kind, argv
+        if kind == "TargetOutsideHull":
+            assert "margin" not in doc["error"]
+    assert len(cases) > 70
 
 
 def test_hull_command():
@@ -347,7 +429,10 @@ def test_subprocess_exit_codes():
             "ValueError",
         ),
         ([[1e200], [2e200]], ["forward", "-", "--beta", "1e200"], 2, "ValueError"),
-        ([[0], [1e200]], ["invert", "-", "--mean", "5e199"], 3, "TargetOnBoundary"),
+        # a vertex target; the midpoint is solved since the diameter no longer overflows
+        ([[0], [1e200]], ["invert", "-", "--mean", "1e200"], 3, "TargetOnBoundary"),
+        # the covariance, about 2.5e399, is not a double
+        ([[0], [1e200]], ["forward", "-", "--beta", "1e-200"], 2, "ValueError"),
     ],
 )
 def test_subprocess_stderr_is_the_diagnostic_line(points, argv, code, kind):

@@ -61,6 +61,14 @@ def test_quadratic_form_validation():
         f.value([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="symmetric"):
         mg.QuadraticForm([[1.0, 0.5], [0.2, 1.0]])
+    # the symmetry tolerance is relative to the largest entry: an asymmetry of
+    # 4e-15 of it passes at 1e6 (an absolute 1e-12 refused it), and one of 25%
+    # fails at 1e-13 (an absolute 1e-12 accepted it, and the direct image then
+    # read only the upper cross block)
+    big = mg.QuadraticForm([[2e6, 1e6], [1e6 + 1.2e-8, 3e6]])
+    assert big.matrix[1, 0] - big.matrix[0, 1] == pytest.approx(1.2e-8, rel=0.01)
+    with pytest.raises(ValueError, match="symmetric"):
+        mg.QuadraticForm(1e-13 * np.array([[2.0, 1.0], [1.5, 3.0]]))
     with pytest.raises(mg.NotNegativeDefinite):
         mg.QuadraticForm([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError):

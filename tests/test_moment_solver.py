@@ -239,11 +239,13 @@ def _two_pass_guard(A, target):
     """Reference: the feasibility guard as two passes, the solver's span test
     and then a full `interior_margin` that coerces and tests the target again
     and computes its own facet norms. Returns the margin or raises what the
-    solver raises."""
+    solver raises. A span violation counts above 1e-9 times the set's unit 2^k."""
+    unit = 2.0 ** math.frexp(float(np.abs(A.points).max()))[1]
+
     def span_violation(Q, p):
         eqs = Q.span_equations
         viol = float(np.abs(eqs[:, :-1] @ p - eqs[:, -1]).max(initial=0.0))
-        return viol if viol > 1e-9 * max(1.0, float(np.abs(p).max())) else 0.0
+        return viol if viol > 1e-9 * unit else 0.0
 
     t = point_array(target, A.dim)
     Q = mg.convex_hull(A)

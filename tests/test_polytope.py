@@ -222,16 +222,17 @@ def _dense_merge_hull(A):
         reduced = (A.points - origin) @ span
     hull = ConvexHull(reduced)
     rows = np.column_stack([-hull.equations[:, :-1], hull.equations[:, -1]])
-    scale = max(1.0, float(np.abs(reduced).max()))
-    _, first = np.unique(np.round(rows / scale, 9), axis=0, return_index=True)
-    cand = rows[np.sort(first)]
-    gaps = np.abs(cand[:, None, :] - cand[None, :, :]).max(axis=-1)
+    # unit normals as they are, offsets in units of the largest coordinate
+    key = rows / np.append(np.ones(A.affine_dim), np.abs(reduced).max())
+    _, first = np.unique(np.round(key, 9), axis=0, return_index=True)
+    cand, cand_key = rows[np.sort(first)], key[np.sort(first)]
+    gaps = np.abs(cand_key[:, None, :] - cand_key[None, :, :]).max(axis=-1)
     keep = []
     dropped = np.zeros(len(cand), dtype=bool)
     for i in range(len(cand)):
         if not dropped[i]:
             keep.append(i)
-            dropped |= gaps[i] <= 1e-7 * scale
+            dropped |= gaps[i] <= 1e-7
     facets = []
     for i in keep:
         normal, offset = cand[i, :-1], float(cand[i, -1])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,10 +127,12 @@ def test_affine_dim_permutation_invariance(order):
 
 def _reference_frame(pts):
     """Rank from a values-only SVD and frame from a full_matrices=True SVD of
-    the centered points, each factorization computed on its own."""
-    diffs = pts - pts[0]
+    the centered points in the set's unit 2^k, each factorization computed on
+    its own; the rank test is relative to the largest singular value."""
+    k = math.frexp(float(np.abs(pts).max()))[1]
+    diffs = np.ldexp(pts, -k) - np.ldexp(pts[0], -k)
     s = np.linalg.svd(diffs, compute_uv=False)
-    d = int(np.sum(s > RANK_TOL * max(float(s[0]), 1.0)))
+    d = int(np.sum(s > RANK_TOL * s[0]))
     _, _, vh = np.linalg.svd(diffs, full_matrices=True)
     return d, (pts[0].copy(), vh[:d].T.copy(), vh[d:].T.copy())
 
@@ -155,7 +158,10 @@ def _frame_reference_sets():
     plane = rng.integers(-4, 5, size=(30, 2)) @ rng.normal(size=(2, 4))
     for eps in (1e-10, 1e-9, 1e-8):
         yield plane + eps * rng.normal(size=plane.shape)
+    # full-dimensional at 1e-12 (the floor max(s[0], 1) once made it a point),
+    # and a spread below RANK_TOL relative to the set's own scale
     yield rng.normal(size=(5, 3)) * 1e-12
+    yield (plane + 1e-11 * rng.normal(size=plane.shape)) * 1e-12
     # fewer points than coordinates, and a single point
     yield rng.normal(size=(2, 3))
     yield rng.normal(size=(3, 8))
@@ -165,17 +171,20 @@ def _frame_reference_sets():
 
 def test_affine_frame_matches_separate_svds():
     kinds = set()
+    dims = []
     for pts in _frame_reference_sets():
         N, n = pts.shape
         A = mg.new_state_set(n, pts)
         d, ref = _reference_frame(A.points)
         assert A.affine_dim == d
+        dims.append(d)
         for got, want in zip(affine_frame(A), ref):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             # fresh C-ordered copies: a view's layout can change product bits
             assert got.flags.c_contiguous and got.flags.writeable
         kinds.add((d < n, "N>n" if N > n else "N==n" if N == n else "N<n"))
     assert kinds == {(True, "N>n"), (False, "N>n"), (True, "N==n"), (True, "N<n")}
+    assert dims[-6:-4] == [3, 2]  # the two sets at 1e-12 (the old floor gave 0 and 0)
 
 
 def test_covector_pairing():
