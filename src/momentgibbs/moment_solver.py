@@ -6,15 +6,17 @@ The solve minimizes the smooth convex dual
 
 whose gradient is target - mean_energy(beta) and whose Hessian is the energy
 covariance, by damped Newton with Cholesky steps and Armijo backtracking.
-Each step calls LAPACK's dpotrf/dpotrs directly, the routines behind scipy's
-cho_factor/cho_solve, so steps keep the wrappers' bits at a fraction of their
-per-call cost. When the factorization fails, the step retries with a ridge
-r * I: r starts at 1e-12 times the mean Hessian diagonal and grows tenfold per
-retry, 40 attempts in all.
+Each step is one call of LAPACK's dposv (dpotrf and dpotrs, the routines
+behind scipy's cho_factor/cho_solve), so steps keep the wrappers' bits at a
+fraction of their per-call cost. When the factorization fails, the step
+retries with a ridge r * I: r starts at 1e-12 times the mean Hessian diagonal
+and grows tenfold per retry, 40 attempts in all.
 Newton runs in the state set's frame (points and target scaled by 2^-k, in
 orthonormal span coordinates when the set is degenerate, where the Hessian is
 positive definite), so a set and its 2^j multiple take the same steps. Beta
 is scaled back and lifted with zero component along the span's annihilator.
+Every solve starts at beta = 0, whose uniform weights depend on the set alone:
+the first solve on a set memoizes that state on it, and every solve reads it.
 """
 
 from __future__ import annotations
@@ -126,12 +128,18 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
 
     pts = A._coords
     t = _frame_coords(A, t_full)
+    if A._start is None:  # racing first solves write equal values
+        log_z, p = _normalized(np.zeros(len(pts)))
+        mean = p @ pts
+        cov = _covariance(pts, p, mean)
+        for arr in (p, mean, cov):
+            arr.setflags(write=False)
+        object.__setattr__(A, "_start", (log_z, p, mean, cov))
+    f, p, mean, hess = A._start  # F(0) = log Z(0)
     beta = np.zeros(d)
-    log_z, p = _normalized(-(pts @ beta))
     iterations = 0
 
     while True:
-        mean = p @ pts
         grad = t - mean
         grad_norm = float(np.abs(grad).max()) / hull._unit_diameter
         converged = grad_norm <= opts.grad_tol
@@ -139,17 +147,17 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
             break
         iterations += 1
 
-        step = _newton_step(_covariance(pts, p, mean), grad)
+        step = _newton_step(hess if iterations == 1 else _covariance(pts, p, mean), grad)
 
-        f0 = log_z + float(beta @ t)
         slope = -float(grad @ step)  # derivative of F along -step; negative
-        slack = _ARMIJO_SLACK * (1.0 + abs(f0))
+        slack = _ARMIJO_SLACK * (1.0 + abs(f))
         stride = 1.0
         stalled = False
         while True:
             cand = beta - stride * step
-            log_z_c, p_c = _normalized(-(pts @ cand))
-            if log_z_c + float(cand @ t) <= f0 + _ARMIJO * stride * slope + slack:
+            log_z_c, p_c = _normalized(pts @ -cand)
+            f_c = log_z_c + float(cand @ t)
+            if f_c <= f + _ARMIJO * stride * slope + slack:
                 break
             stride *= _SHRINK
             if stride < _MIN_STEP:
@@ -157,7 +165,8 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
                 break
         if stalled:
             break  # no representable progress left; the raise below reports it
-        beta, log_z, p = cand, log_z_c, p_c
+        beta, f, p = cand, f_c, p_c
+        mean = p @ pts
 
     beta = np.ldexp(beta, -A._exp)
     report = SolveReport(
@@ -194,28 +203,25 @@ def solve_gradient(A: StateSet, target, opts: SolveOptions | None = None) -> CoV
 def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve hess @ s = grad by Cholesky, adding a scaled ridge if it fails.
 
-    Calls dpotrf/dpotrs with the arguments cho_factor/cho_solve pass, so the
-    step has their bits; at the solver's d <= 6 the wrappers cost over ten
-    times the routines. Their checks stay: a non-finite input raises
-    ValueError, as does an illegal-argument code. The factor needs no check:
-    each entry below the diagonal enters the pivot of its row, so with info 0
-    all are finite.
+    One dposv call runs dpotrf and dpotrs with the arguments cho_factor and
+    cho_solve pass, so the step has their bits; at the solver's d <= 6 the
+    wrappers cost over ten times the routine. Their checks stay: a non-finite
+    input raises ValueError (the gradient only once a factor exists), as does
+    an illegal-argument code. The factor needs no check: each entry below the
+    diagonal enters the pivot of its row, so with info 0 all are finite.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    from scipy.linalg.lapack import dposv
 
     a = hess
     reg = 0.0
     for _ in range(40):
         _check_finite(a)
-        factor, info = dpotrf(a, lower=1, clean=0)
+        _, step, info = dposv(a, grad, lower=1)
         if info == 0:
             _check_finite(grad)
-            step, info = dpotrs(factor, grad, lower=1)
-            if info != 0:
-                raise ValueError(f"dpotrs: illegal value in argument {-info}")
             return step
         if info < 0:
-            raise ValueError(f"dpotrf: illegal value in argument {-info}")
+            raise ValueError(f"dposv: illegal value in argument {-info}")
         # a leading minor is not positive definite: retry with a larger ridge
         if reg == 0.0:
             d = hess.shape[0]

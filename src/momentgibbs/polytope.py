@@ -143,7 +143,7 @@ def _hull_interval(t: np.ndarray):
 
 def _hull_planar(pts: np.ndarray, k: int, keep_integer: bool):
     """Monotone chain in the plane; returns CCW vertices and edge halfspaces
-    (integer normals of a lattice set are scaled back from the unit 2^k)."""
+    (a lattice set keeps integer normals, scaled back from the unit 2^k)."""
     scale = float(np.abs(pts).max())
     eps = 1e-9 * scale * scale  # cross products scale quadratically
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
@@ -164,14 +164,17 @@ def _hull_planar(pts: np.ndarray, k: int, keep_integer: bool):
     upper = chain(reversed(order))
     ring = lower[:-1] + upper[:-1]  # counter-clockwise
 
-    normals, offsets = [], []
-    for a, b in zip(ring, ring[1:] + ring[:1]):
-        edge = pts[b] - pts[a]
-        normal = np.array([-edge[1], edge[0]])  # interior is left of a->b
-        normal = np.ldexp(normal, k) if keep_integer else normal / np.linalg.norm(normal)
-        normals.append(normal)
-        offsets.append(float(normal @ pts[a]))
-    return ring, np.array(normals), np.array(offsets)
+    # integer offsets grow as the scale squared: past 2^1024, unit normals take over
+    for integer in (keep_integer, False):
+        normals, offsets = [], []
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            edge = pts[b] - pts[a]
+            normal = np.array([-edge[1], edge[0]])  # interior is left of a->b
+            normal = np.ldexp(normal, k) if integer else normal / np.linalg.norm(normal)
+            normals.append(normal)
+            offsets.append(float(normal @ pts[a]))
+        if not integer or math.frexp(max(map(abs, offsets)))[1] + k <= 1024:
+            return ring, np.array(normals), np.array(offsets)
 
 
 def _hull_qhull(pts: np.ndarray):
@@ -233,9 +236,11 @@ def min_face(A: StateSet, direction) -> FaceResult:
     every state)."""
     d = covector_array(direction, A.dim)
     pairings = A.points @ d
-    low = float(pairings.min())
-    spread = float(pairings.max()) - low
-    idx = np.flatnonzero(pairings <= low + _TIE_REL * spread)
+    low, high = float(pairings.min()), float(pairings.max())
+    tol = _TIE_REL * (high - low)
+    if math.isinf(tol):  # the spread overflowed; halving is exact at this magnitude
+        tol = 2 * _TIE_REL * (high / 2 - low / 2)
+    idx = np.flatnonzero(pairings <= low + tol)
     bary = A.points[idx].mean(axis=0)
     return FaceResult(tuple(int(i) for i in idx), low, _frozen(bary))
 

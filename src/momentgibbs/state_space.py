@@ -3,9 +3,9 @@
 A state set is an ordered list of N distinct points in R^n; the point of state
 i is its energy vector. Covectors live in the dual space and pair with points
 through the ordinary dot product. Everything here is immutable after
-construction and safe to share across threads. The one lazily filled field,
-a state set's memoized hull, holds the same value on every write, so a race
-between two threads that fill it at once is harmless.
+construction and safe to share across threads. A state set's two lazily
+filled fields, its hull and the solver's beta = 0 state, hold the same value
+on every write, so a race between two threads that fill one is harmless.
 """
 
 from __future__ import annotations
@@ -96,8 +96,10 @@ class StateSet:
     _exp: int = field(init=False, repr=False, compare=False)
     _vh: np.ndarray = field(init=False, repr=False, compare=False)
     _coords: np.ndarray = field(init=False, repr=False, compare=False)
-    # filled by `polytope.convex_hull` on first use; not part of the value
+    # memos filled by `polytope.convex_hull` and `moment_solver.invert_mean_energy`
+    # on first use; not part of the value
     _hull: Polytope | None = field(default=None, init=False, repr=False, compare=False)
+    _start: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     __eq__ = _value_eq
 

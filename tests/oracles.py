@@ -3,14 +3,21 @@
 Nothing here may call the code paths under test: entropy maximization is a
 dense grid scan over the constraint slice, hull membership is linear
 programming, fiber maximization is golden-section search, derivatives are
-central differences.
+central differences. `reference_invert` is a frozen copy of the Newton solve
+as it stood before the start memo and the one-call LAPACK step, for checks
+that a faster solver keeps every bit.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog
 from scipy.special import xlogy
+
+import momentgibbs as mg
+from momentgibbs.polytope import _margin, _span_violation
+from momentgibbs.state_space import _frame_coords, affine_frame, point_array
 
 
 def max_entropy_on_fiber(points, target, step=1e-3):
@@ -184,3 +191,120 @@ def central_jacobian(f, x, h):
         bump[i] = h if np.isscalar(h) else h[i]
         cols.append((f(x + bump) - f(x - bump)) / (2.0 * bump[i]))
     return np.stack(cols, axis=1)
+
+
+def reference_invert(A, target, opts=None):
+    """`invert_mean_energy` frozen: every solve recomputes the beta = 0 state,
+    F is recomputed at each iteration, log weights are -(pts @ beta) and each
+    Newton step calls dpotrf and then dpotrs. The feasibility guard, the frame
+    and the report types are the package's; the loop and its kernels are
+    copies, so a change to them cannot move the reference."""
+    opts = opts or mg.SolveOptions()
+    t_full = point_array(target, A.dim)
+    hull = mg.convex_hull(A)
+    off = _span_violation(hull, t_full)
+    if off:
+        raise mg.TargetOutsideHull(-off, f"target is {off:.3g} off the affine span of the states")
+    margin = _margin(hull, t_full)
+    btol = math.ldexp(1e-9 * hull._unit_diameter, A._exp)
+    if margin < -btol:
+        raise mg.TargetOutsideHull(margin)
+    if margin <= btol:
+        raise mg.TargetOnBoundary(
+            margin,
+            f"target margin {margin:.3g} is within {btol:.3g} of the hull boundary; "
+            "beta diverges there (see polytope.tropical_limit for the limiting face)",
+        )
+    d = A.affine_dim
+    reduced = d < A.dim
+    if d == 0:
+        return mg.SolveReport(mg.CoVector(np.zeros(A.dim)), 0, 0.0, 0.0, True, reduced)
+
+    pts = A._coords
+    t = _frame_coords(A, t_full)
+    beta = np.zeros(d)
+    log_z, p = _ref_normalized(-(pts @ beta))
+    iterations = 0
+    while True:
+        mean = p @ pts
+        grad = t - mean
+        grad_norm = float(np.abs(grad).max()) / hull._unit_diameter
+        converged = grad_norm <= opts.grad_tol
+        if converged or iterations == opts.max_iter:
+            break
+        iterations += 1
+        step = reference_newton_step(_ref_covariance(pts, p, mean), grad)
+        f0 = log_z + float(beta @ t)
+        slope = -float(grad @ step)
+        slack = 32.0 * np.finfo(float).eps * (1.0 + abs(f0))
+        stride = 1.0
+        stalled = False
+        while True:
+            cand = beta - stride * step
+            log_z_c, p_c = _ref_normalized(-(pts @ cand))
+            if log_z_c + float(cand @ t) <= f0 + 1e-4 * stride * slope + slack:
+                break
+            stride *= 0.5
+            if stride < 1e-14:
+                stalled = True
+                break
+        if stalled:
+            break
+        beta, log_z, p = cand, log_z_c, p_c
+
+    beta = np.ldexp(beta, -A._exp)
+    report = mg.SolveReport(
+        beta=mg.CoVector(affine_frame(A)[1] @ beta if reduced else beta),
+        iterations=iterations,
+        grad_norm=grad_norm,
+        entropy=float(-xlogy(p, p).sum() + 0.0),
+        converged=converged,
+        reduced=reduced,
+    )
+    if not converged:
+        raise mg.NoConvergence(
+            f"no convergence after {iterations} iterations "
+            f"(grad_norm {grad_norm:.3g} > {opts.grad_tol:.3g})",
+            report=report,
+        )
+    return report
+
+
+def reference_newton_step(hess, grad):
+    """The solver's Newton step as dpotrf followed by dpotrs, with its ridge
+    rule and its checks."""
+    a = hess
+    reg = 0.0
+    for _ in range(40):
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+        factor, info = dpotrf(a, lower=1, clean=0)
+        if info == 0:
+            if not np.isfinite(grad).all():
+                raise ValueError("array must not contain infs or NaNs")
+            step, info = dpotrs(factor, grad, lower=1)
+            if info != 0:
+                raise ValueError(f"dpotrs: illegal value in argument {-info}")
+            return step
+        if info < 0:
+            raise ValueError(f"dpotrf: illegal value in argument {-info}")
+        if reg == 0.0:
+            d = hess.shape[0]
+            eye = np.eye(d)
+            reg = 1e-12 * max(float(np.trace(hess)) / d, np.finfo(float).tiny)
+        else:
+            reg *= 10.0
+        a = hess + reg * eye
+    raise np.linalg.LinAlgError("covariance could not be regularized to positive definite")
+
+
+def _ref_normalized(log_w):
+    m = float(log_w.max())
+    log_z = m + float(np.log(np.exp(log_w - m).sum()))
+    return log_z, np.exp(log_w - log_z)
+
+
+def _ref_covariance(pts, p, mean):
+    centered = pts - mean
+    cov = centered.T @ (centered * p[:, None])
+    return (cov + cov.T) / 2.0

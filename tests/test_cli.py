@@ -314,6 +314,40 @@ def test_limit_command():
     assert cli.cmd_limit(load_doc("square.json"), "0,0").exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "points, argv, code, expected",
+    [
+        # a planar lattice set whose integer edge offsets would overflow
+        (
+            [[0, 0], [1e200, 0], [0, 1e200], [1e200, 1e200]],
+            ["hull"],
+            0,
+            {"vertices": [0, 1, 2, 3], "facets": [
+                {"normal": [-1, 0], "offset": -1e200}, {"normal": [0, -1], "offset": -1e200},
+                {"normal": [0, 1], "offset": 0}, {"normal": [1, 0], "offset": 0}]},
+        ),
+        (
+            [[0, 0], [1e200, 0], [0, 1e200], [1e200, 1e200]],
+            ["invert", "--mean=1.5e200,5e199"],
+            3,
+            {"error": {"type": "TargetOutsideHull", "message": "target outside hull (margin -5e+199)",
+                       "margin": -5e199}},
+        ),
+        # pairings whose spread overflows: the tie tolerance must not
+        ([[-1.7e308], [1.7e308]], ["limit", "--direction", "1"], 0,
+         {"face": [0], "value": -1.7e308, "limit": [-1.7e308]}),
+        ([[-1e308, 0], [1e308, 0], [0, 1]], ["limit", "--direction=-1,0"], 0,
+         {"face": [1], "value": -1e308, "limit": [1e308, 0]}),
+    ],
+)
+def test_edges_near_the_float_range(tmp_path, capsys, points, argv, code, expected):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"dim": len(points[0]), "points": points}))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert {key: out.get(key) for key in expected} == expected
+
+
 def test_microstates_command():
     doc = load_doc("two_state.json")
     out = payload(cli.cmd_microstates(doc, total=50, seed=42, beta="1.0986122886681098"))

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,9 +8,10 @@ import pytest
 
 import momentgibbs as mg
 from momentgibbs.gibbs import _covariance
+import oracles
 from momentgibbs.moment_solver import _newton_step
 from momentgibbs.state_space import affine_frame, point_array
-from oracles import central_gradient, max_entropy_on_fiber
+from oracles import central_gradient, max_entropy_on_fiber, reference_invert
 
 LOG3 = math.log(3.0)
 
@@ -388,3 +391,123 @@ def test_entropy_of_mean_concave():
         s_mix = mg.entropy_of_mean(A, mix)
         s_split = lam * mg.entropy_of_mean(A, t1) + (1 - lam) * mg.entropy_of_mean(A, t2)
         assert s_mix >= s_split - 1e-9
+
+
+def _report_bits(r):
+    return (r.beta.components.tobytes(), r.iterations, r.grad_norm.hex(),
+            r.entropy.hex(), r.converged, r.reduced)
+
+
+def _outcome(solve, A, target, opts):
+    """A solve's bits: its report, a NoConvergence's partial report, or a
+    refusal's type, message and margin."""
+    try:
+        return "solved", _report_bits(solve(A, target, opts))
+    except mg.NoConvergence as err:
+        return "partial", str(err), _report_bits(err.report)
+    except ValueError as err:
+        margin = getattr(err, "margin", None)
+        return type(err).__name__, str(err), None if margin is None else margin.hex()
+
+
+def test_solver_matches_frozen_reference(monkeypatch):
+    # count the reference's log-sum-exp calls: one per candidate, plus the start
+    calls = [0]
+    normalized = oracles._ref_normalized
+
+    def counted(log_w):
+        calls[0] += 1
+        return normalized(log_w)
+
+    monkeypatch.setattr(oracles, "_ref_normalized", counted)
+    rng = np.random.Generator(np.random.Philox(key=47))
+    options = [mg.SolveOptions(max_iter=m) for m in (1, 2, 3)]
+    options += [mg.SolveOptions(), mg.SolveOptions(grad_tol=1e-300)]
+    kinds, backtracks = set(), 0
+    for d in range(1, 7):
+        for reduced in (False, True):
+            pts = rng.normal(size=(d + 6, d)) * 10.0 ** rng.integers(-3, 4)
+            if reduced:
+                pts = pts @ rng.normal(size=(d + 1, d)).T + rng.normal(size=d + 1)
+            A = mg.new_state_set(pts.shape[1], pts)
+            assert A.affine_dim == d
+            Q = mg.convex_hull(A)
+            scale = np.abs(A.points).max()
+            center = A.points.mean(axis=0)
+            vertex = A.points[Q.vertices[0]]
+            targets = [
+                mg.mean_energy(A, rng.normal(size=A.dim) / scale),
+                mg.mean_energy(A, 30.0 * rng.normal(size=A.dim) / scale),  # far out: backtracks
+                center + (1 - 1e-6) * (vertex - center),
+                center,
+                vertex,
+                center + 2.0 * (vertex - center),
+            ]
+            for target in targets:
+                for opts in options:
+                    calls[0] = 0
+                    expected = _outcome(reference_invert, A, target, opts)
+                    if expected[0] in ("solved", "partial"):
+                        backtracks += calls[0] - 1 - expected[-1][1]
+                    # a fresh set and one whose start memo is filled
+                    for B in (mg.new_state_set(A.dim, A.points), A):
+                        assert _outcome(mg.invert_mean_energy, B, target, opts) == expected
+                    kinds.add(expected[0])
+    assert kinds == {"solved", "partial", "TargetOutsideHull", "TargetOnBoundary"}
+    assert backtracks > 0
+
+
+def test_start_memo_is_not_part_of_the_value():
+    pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 3.0]]
+    A = mg.new_state_set(2, pts)
+    first = _report_bits(mg.invert_mean_energy(A, [0.5, 0.5]))
+    memo = A._start
+    assert memo is not None
+    fresh = mg.new_state_set(2, pts)
+    assert A == fresh and repr(A) == repr(fresh)
+    # a solve from the filled memo matches one on a fresh set, bit for bit
+    assert _report_bits(mg.invert_mean_energy(A, [0.5, 0.5])) == first
+    assert A._start is memo
+    assert _report_bits(mg.invert_mean_energy(fresh, [0.5, 0.5])) == first
+    for arr in A._start[1:]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def _start_bits(A):
+    log_z, *arrays = A._start
+    return (log_z.hex(), *(a.tobytes() for a in arrays))
+
+
+def test_start_memo_shared_across_threads():
+    rng = np.random.Generator(np.random.Philox(key=48))
+    point_sets = [rng.normal(size=(40, 3)) for _ in range(12)]
+    targets = [mg.mean_energy(mg.new_state_set(3, p), rng.normal(size=3)) for p in point_sets]
+    expected = []
+    for p, t in zip(point_sets, targets):
+        A = mg.new_state_set(3, p)
+        expected.append((_report_bits(mg.invert_mean_energy(A, t)), _start_bits(A)))
+    shared = [mg.new_state_set(3, p) for p in point_sets]
+    for A in shared:
+        mg.convex_hull(A)  # only the start memo is left to fill
+    seen = []  # list.append is atomic under the interpreter lock
+
+    def work():
+        for i, A in enumerate(shared):
+            seen.append((i, _report_bits(mg.invert_mean_energy(A, targets[i]))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 6 * len(shared)
+    assert all(bits == expected[i][0] for i, bits in seen)
+    assert [_start_bits(A) for A in shared] == [e[1] for e in expected]
