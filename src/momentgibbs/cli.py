@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -69,9 +70,28 @@ def _to_json(value) -> str:
         return json.dumps(value)
     if isinstance(value, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_to_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, np.ndarray) and value.ndim and value.dtype in (np.float64, np.int64):
+        return _array_json(value)
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(_to_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _array_json(arr: np.ndarray) -> str:
+    """`_to_json` of a float64 or int64 array in one pass over `tolist()`; a
+    non-finite entry is refused by `_fmt`, the first one in row-major order."""
+    spec = "d"
+    if arr.dtype == np.float64:
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            _fmt(bad[0])
+        spec = ".17g"
+
+    def nested(rows, depth):
+        items = map(format, rows, repeat(spec)) if depth == 1 else (nested(r, depth - 1) for r in rows)
+        return "[" + ",".join(items) + "]"
+
+    return nested(arr.tolist(), arr.ndim)
 
 
 def _parse_vector(text: str, what: str) -> list[float]:

@@ -10,7 +10,8 @@ contract so counts freeze across platforms:
     ``Generator.random``, drawn in blocks of 2**20 (the counts do not depend
     on the block size);
   * each particle is placed by right-bisecting the inclusive cumulative sums
-    of the probabilities (the last edge pinned to 1.0).
+    of the probabilities (the last edge pinned to 1.0); the counts are
+    computed per block from the sorted draws, which places them the same way.
 
 Regression vectors for this stream live in the test suite and the README.
 
@@ -94,7 +95,10 @@ def sample_counts(p: Distribution, total: int, seed: int) -> MicrostateCounts:
     counts = np.zeros(len(p), dtype=np.int64)
     for start in range(0, total, _BLOCK):
         draws = rng.random(min(_BLOCK, total - start))
-        counts += np.bincount(np.searchsorted(edges, draws, side="right"), minlength=len(p))
+        draws.sort()
+        # every draw is below the last edge, 1.0, so the draws below each edge
+        # fix every bin: right bisection places exactly the differences there
+        counts += np.diff(np.searchsorted(draws, edges, side="left"), prepend=0)
     return MicrostateCounts(counts, total, int(seed), p.parent)
 
 

@@ -235,14 +235,21 @@ def min_face(A: StateSet, direction) -> FaceResult:
     1e-9 relative to the spread of pairing values (a zero direction ties
     every state)."""
     d = covector_array(direction, A.dim)
-    pairings = A.points @ d
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairings = A.points @ d
+    value = float(pairings.min())
+    if not np.all(np.isfinite(pairings)):
+        # a pairing overflowed: in the set's unit 2^k and d's own power of two
+        # the pairings are finite and exact multiples of the true ones
+        d_unit = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
+        pairings = np.ldexp(A.points, -A._exp) @ d_unit
     low, high = float(pairings.min()), float(pairings.max())
     tol = _TIE_REL * (high - low)
     if math.isinf(tol):  # the spread overflowed; halving is exact at this magnitude
         tol = 2 * _TIE_REL * (high / 2 - low / 2)
     idx = np.flatnonzero(pairings <= low + tol)
     bary = A.points[idx].mean(axis=0)
-    return FaceResult(tuple(int(i) for i in idx), low, _frozen(bary))
+    return FaceResult(tuple(int(i) for i in idx), value, _frozen(bary))
 
 
 def tropical_limit(A: StateSet, direction) -> np.ndarray:

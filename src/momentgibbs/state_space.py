@@ -1,11 +1,14 @@
 """Finite state sets with vector-valued energies, plus observables and covectors.
 
 A state set is an ordered list of N distinct points in R^n; the point of state
-i is its energy vector. Covectors live in the dual space and pair with points
-through the ordinary dot product. Everything here is immutable after
-construction and safe to share across threads. A state set's two lazily
-filled fields, its hull and the solver's beta = 0 state, hold the same value
-on every write, so a race between two threads that fill one is harmless.
+i is its energy vector. Its input is checked in bulk: one pass over the entry
+types of a JSON document and one conversion of the rows to a float array.
+Only when a bulk check fails do the row-by-row checks run, to name the first
+bad row. Covectors live in the dual space and pair with points through the
+ordinary dot product. Everything here is immutable after construction and
+safe to share across threads. A state set's two lazily filled fields, its
+hull and the solver's beta = 0 state, hold the same value on every write, so
+a race between two threads that fill one is harmless.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,6 +53,14 @@ def _points_matrix(points, dim: int) -> np.ndarray:
             raise EmptyStateSet("state set must contain at least one point")
         return arr.copy()
     rows = list(points)
+    # one conversion: an (N, dim) result passes every row check below (no rows
+    # give shape (0,)); the checks run only on failure, to name the first bad row
+    try:
+        arr = np.array(rows, dtype=float)
+        if arr.shape == (len(rows), dim):
+            return arr
+    except (TypeError, ValueError, OverflowError):
+        pass
     if not rows:
         raise EmptyStateSet("state set must contain at least one point")
     for i, row in enumerate(rows):
@@ -79,12 +91,14 @@ def _value_eq(self, other):
 class StateSet:
     """Ordered set of N distinct energy points in R^dim.
 
-    Construction picks the set's frame, the unit 2^k with k the binary exponent
-    of the largest |coordinate|, and does one thin SVD of the 2^-k-scaled
-    centered points. `affine_dim` and the frame `affine_frame` returns are read
-    from it, and the solver's coordinates (`_frame_coords` of the points) are
-    cached read-only. `is_lattice` records whether every input coordinate was
-    an integer. Points are stored as float64 exactly as given.
+    The points are converted in one call and checked in bulk (an (N, dim)
+    float array, all finite, all distinct); the first bad row or pair is named
+    only on failure. Construction picks the set's frame, the unit 2^k with k
+    the binary exponent of the largest |coordinate|, and does one thin SVD of
+    the 2^-k-scaled centered points. `affine_dim` and the frame `affine_frame`
+    returns are read from it, and the solver's coordinates (`_frame_coords` of
+    the points) are cached read-only. `is_lattice` records whether every input
+    coordinate was an integer. Points are stored as float64 exactly as given.
     """
 
     dim: int
@@ -278,12 +292,17 @@ def state_set_from_json(doc) -> StateSet:
     points = doc["points"]
     if not isinstance(points, list):
         raise ValueError("points must be a list of coordinate lists")
-    for i, row in enumerate(points):
-        if not isinstance(row, list):
-            raise ValueError(f"point {i} must be a list of numbers")
-        for v in row:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"point {i} contains a non-numeric entry")
+    # one pass over the types; on failure the row loop names the first bad row,
+    # or accepts what the pass is too strict for (subclasses such as np.float64)
+    if set(map(type, points)) != {list} or not (
+        set(map(type, chain.from_iterable(points))) <= {int, float}
+    ):
+        for i, row in enumerate(points):
+            if not isinstance(row, list):
+                raise ValueError(f"point {i} must be a list of numbers")
+            for v in row:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ValueError(f"point {i} contains a non-numeric entry")
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):

@@ -5,10 +5,14 @@ dense grid scan over the constraint slice, hull membership is linear
 programming, fiber maximization is golden-section search, derivatives are
 central differences. `reference_invert` is a frozen copy of the Newton solve
 as it stood before the start memo and the one-call LAPACK step, for checks
-that a faster solver keeps every bit.
+that a faster solver keeps every bit. `reference_state_set_from_json` and
+`reference_new_state_set` are frozen copies of the state-set checks as they
+stood before the bulk type pass and array conversion, for checks that every
+document keeps its outcome.
 """
 
 import math
+import sys
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -308,3 +312,67 @@ def _ref_covariance(pts, p, mean):
     centered = pts - mean
     cov = centered.T @ (centered * p[:, None])
     return (cov + cov.T) / 2.0
+
+
+def reference_state_set_from_json(doc):
+    """`state_set_from_json` frozen: every entry and every row is checked in a
+    Python loop before the set is built by `reference_new_state_set`."""
+    if not isinstance(doc, dict):
+        raise ValueError("state set document must be a JSON object")
+    unknown = sorted(set(doc) - {"dim", "points", "labels"})
+    if unknown:
+        raise ValueError(f"unknown keys in state set document: {unknown}")
+    for key in ("dim", "points"):
+        if key not in doc:
+            raise ValueError(f"state set document is missing {key!r}")
+    dim = doc["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError("dim must be an integer")
+    points = doc["points"]
+    if not isinstance(points, list):
+        raise ValueError("points must be a list of coordinate lists")
+    for i, row in enumerate(points):
+        if not isinstance(row, list):
+            raise ValueError(f"point {i} must be a list of numbers")
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"point {i} contains a non-numeric entry")
+    labels = doc.get("labels")
+    if labels is not None:
+        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+            raise ValueError("labels must be a list of strings")
+    return reference_new_state_set(dim, points, labels)
+
+
+def reference_new_state_set(dim, points, labels=None):
+    """`new_state_set` with its dim check and its points matrix frozen; the
+    package builds the rest (finite, distinct, labels) from that matrix."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    return mg.new_state_set(int(dim), reference_points_matrix(points, int(dim)), labels)
+
+
+def reference_points_matrix(points, dim):
+    """`_points_matrix` frozen: `np.ndim` and `len` of every row, then one
+    conversion."""
+    if isinstance(points, np.ndarray):
+        try:
+            arr = np.asarray(points, dtype=float)
+        except OverflowError:
+            raise ValueError("points array has a coordinate beyond the float range") from None
+        if arr.ndim != 2 or arr.shape[1] != dim:
+            raise mg.DimensionMismatch(f"points array has shape {arr.shape}, expected (N, {dim})")
+        if arr.shape[0] == 0:
+            raise mg.EmptyStateSet("state set must contain at least one point")
+        return arr.copy()
+    rows = list(points)
+    if not rows:
+        raise mg.EmptyStateSet("state set must contain at least one point")
+    for i, row in enumerate(rows):
+        if np.ndim(row) != 1 or len(row) != dim:
+            raise mg.DimensionMismatch(f"point {i} has {np.size(row)} coordinates, expected {dim}")
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:  # a Python int beyond the float range
+        bad = next(i for i, row in enumerate(rows) if max(map(abs, row)) > sys.float_info.max)
+        raise ValueError(f"point {bad} has a coordinate beyond the float range") from None

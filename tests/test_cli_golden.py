@@ -17,10 +17,6 @@ from conftest import DATA_DIR
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
-# a numpy warning that escapes an in-process command fails its test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def _data(name: str) -> str:
     return str(DATA_DIR / f"{name}.json")
 

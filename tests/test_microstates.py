@@ -55,6 +55,40 @@ def test_block_size_does_not_move_the_counts(monkeypatch, three_state):
             assert mg.sample_counts(p, total, seed).counts.tolist() == expected.tolist()
 
 
+def _bisected_counts(p, total, seed):
+    """Counts by right-bisecting every draw of the whole stream at once."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    edges = np.cumsum(p.probs)
+    edges[-1] = 1.0
+    return np.bincount(np.searchsorted(edges, rng.random(total), side="right"), minlength=len(p))
+
+
+def test_counts_equal_bisection_at_4000_states(monkeypatch):
+    A = mg.new_state_set(1, [[i] for i in range(4000)])
+    # 3627 weights underflow to exactly zero, and the sum reaches 1.0 at state 370
+    steep = mg.gibbs_distribution(A, [2.0])
+    edges = np.cumsum(steep.probs)
+    assert np.count_nonzero(steep.probs == 0) == 3627 and edges[370] == 1.0
+    # the sum passes 1.0 at state 999, then a tail of tiny probabilities
+    head = np.full(4000, 1e-30)
+    head[:1000] = 1e-3
+    over = mg.Distribution(head, A)
+    assert np.cumsum(over.probs)[999] > 1.0
+    monkeypatch.setattr(microstates, "_BLOCK", 2**16)
+    for p in (steep, over, uniform(4000)):
+        for seed in (0, 5):
+            for total in (1, 2**16, 200_003):
+                got = mg.sample_counts(p, total, seed).counts
+                assert got.tolist() == _bisected_counts(p, total, seed).tolist()
+    # the first draw of seed 9 is the first edge: right bisection puts it in state 1
+    first = np.random.Generator(np.random.Philox(key=9)).random()
+    tie = np.zeros(4000)
+    tie[:2] = first, 1.0 - first
+    tie = mg.Distribution(tie, A)
+    assert mg.sample_counts(tie, 1, 9).counts[1] == 1
+    assert mg.sample_counts(tie, 5, 9).counts.tolist() == _bisected_counts(tie, 5, 9).tolist()
+
+
 def test_sampling_memory_is_bounded(two_state):
     # a single draw of all 4e6 doubles and their indices peaked near 61 MiB
     p = mg.Distribution([0.5, 0.5], two_state)

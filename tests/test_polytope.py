@@ -429,6 +429,22 @@ def test_min_face_square(square):
     assert everything.barycenter == pytest.approx([0.5, 0.5])
 
 
+def test_min_face_with_overflowing_pairings():
+    # the pairings are -inf and inf: the ties come from the exact scaled pairings
+    face = mg.min_face(mg.new_state_set(1, [[-1.7e308], [1.7e308]]), [10.0])
+    assert face.indices == (0,)
+    assert face.value == -math.inf
+    assert face.barycenter.tolist() == [-1.7e308]
+    # 1e309 - 1e309 is not a number; scaled, the pairings are 0, a subnormal and 0
+    A = mg.new_state_set(2, [[1e308, -1e308], [0, 1], [5e307, -5e307]])
+    face = mg.min_face(A, [10.0, 10.0])
+    assert face.indices == (0, 2)
+    assert face.barycenter.tolist() == [7.5e307, -7.5e307]
+    # the direction must be scaled too: in the set's unit alone, 1.5 * 1.7e308 overflows
+    A = mg.new_state_set(3, [[1, 1, 1], [-1, -1, -1], [0, 0, 1]])
+    assert mg.min_face(A, [1.7e308] * 3).indices == (1,)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
 def test_min_face_scale_invariant(scale):

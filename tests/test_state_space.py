@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import momentgibbs as mg
 from momentgibbs.state_space import RANK_TOL, affine_frame
+from oracles import reference_new_state_set, reference_state_set_from_json
 
 
 def test_minimal_two_state():
@@ -229,6 +230,167 @@ def test_json_rejects_unknown_and_malformed():
         mg.state_set_from_json([1, 2, 3])
     with pytest.raises(ValueError):
         mg.state_set_from_json({"dim": 1, "points": [[0]], "labels": [0]})
+
+
+def _outcome(build, *args):
+    """What building a set gives: the exception type and message, or the
+    set's dim, labels and the bytes of its points."""
+    try:
+        A = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return A.dim, A.labels, A.points.shape, A.points.tobytes()
+
+
+class _Row(list):
+    pass
+
+
+_NAN, _INF = float("nan"), float("inf")
+_DOCS = [
+    {"dim": 2, "points": [[0, 0], [1, 0.5], [-3, 2**60]], "labels": ["a", "b", "c"]},
+    {"dim": 1, "points": [[0], [1.5], [2**1023]]},
+    # entries: bools, None, strings, dicts, nested lists
+    {"dim": 1, "points": [[0], [True]]},
+    {"dim": 1, "points": [[False], [1]]},
+    {"dim": 1, "points": [[0], [None]]},
+    {"dim": 2, "points": [[0, "1"], [1, 2]]},
+    {"dim": 1, "points": [[{}], [0]]},
+    {"dim": 2, "points": [[0, 0], [1, [2]]]},
+    {"dim": 1, "points": [[[1]], [[2]]]},
+    # rows that are not lists, and ragged rows
+    {"dim": 1, "points": [0, 1]},
+    {"dim": 2, "points": [[0, 0], "ab"]},
+    {"dim": 2, "points": [[0, 0], (1, 2)]},
+    {"dim": 1, "points": [None]},
+    {"dim": 2, "points": [[0, 0], {"x": 1}]},
+    {"dim": 2, "points": [[0, 0], [1], [2, 3]]},
+    {"dim": 1, "points": [[0], [1, 2], [3]]},
+    # rows of the wrong length
+    {"dim": 2, "points": [[0, 0, 0], [1, 1, 1]]},
+    {"dim": 3, "points": [[0, 0], [1, 1]]},
+    {"dim": 1, "points": [[]]},
+    # beyond the float range, NaN and infinity
+    {"dim": 1, "points": [[0], [_BIG]]},
+    {"dim": 2, "points": [[0, 0], [1, 2**1023], [-(10**309), 1]]},
+    {"dim": 1, "points": [[0], [_NAN]]},
+    {"dim": 2, "points": [[0, 0], [_INF, 1]]},
+    {"dim": 2, "points": [[-_INF, 0], [_NAN, 1]]},
+    # no points
+    {"dim": 1, "points": []},
+    {"dim": 3, "points": [], "labels": []},
+    # np.float64 entries and a list subclass, passed from Python
+    {"dim": 1, "points": [[np.float64(0.25)], [0]]},
+    {"dim": 2, "points": [[np.float64(1), 2], [np.float64(_NAN), 0]]},
+    {"dim": 1, "points": [_Row([0]), [1]]},
+    # two faults in one document: the first found decides
+    {"dim": 1, "points": [["x"], [True]]},
+    {"dim": 2, "points": [[0, 0], [1], ["x", "y"]]},
+    {"dim": 1, "points": [[_BIG], [1, 2]]},
+    {"dim": 1, "points": [[_BIG], [_NAN]]},
+    {"dim": 1, "points": [[_NAN], [0], [0]]},
+    {"dim": 1, "points": [[0], [0], [1, 2]]},
+    {"dim": 1, "points": [[0], [1]], "labels": ["a", 1]},
+    {"dim": 0, "points": [["x"]]},
+    {"dim": 0, "points": [[0]]},
+    {"dim": -1, "points": []},
+    {"dim": 2, "points": [[_BIG, "x"]]},
+    {"dim": 1, "points": [[0], [0]], "labels": ["a"]},
+    # the document itself, dim and labels
+    {"dim": True, "points": [[0]]},
+    {"dim": 2.0, "points": [[0, 0]]},
+    {"dim": 1, "points": {"0": [0]}},
+    {"dim": 1, "points": "[[0]]"},
+    {"dim": 1, "points": [[0], [1]], "labels": ["a", "a"]},
+    {"dim": 1, "points": [[0], [1]], "labels": ["a"]},
+    {"dim": 1, "points": [[0], [1]], "labels": "ab"},
+    {"dim": 1, "points": [[0]], "extra": 1},
+    {"points": [[0]]},
+    [1, 2, 3],
+]
+_DIRECT = [
+    (1, [1, 2]),
+    (2, ["ab", "cd"]),
+    (2, [["1", "2"], [3, 4]]),
+    (2, [(0, 1), (1, 0)]),
+    (2, [np.array([0, 1]), np.array([1.5, 0])]),
+    (1, [np.array([[1]])]),
+    (2, [[0, [1]]]),
+    (1, [[{}]]),
+    (1, [[None], [0]]),
+    (2, np.array([[0, 1], [2, 3]], dtype=object)),
+    (1, np.array([[0], [_BIG]], dtype=object)),
+    (2, np.zeros((0, 2))),
+    (2, np.zeros(3)),
+    (np.int64(2), ([0, 1], [1, 0])),
+    (2, [[0, 1], [1, 0]], ["a", "b"]),
+]
+
+
+def test_state_set_checks_match_frozen_reference():
+    kinds = set()
+    for doc in _DOCS:
+        got = _outcome(mg.state_set_from_json, doc)
+        assert got == _outcome(reference_state_set_from_json, doc)
+        kinds.add(got[0] if isinstance(got[0], type) else "set")
+    assert kinds == {
+        "set", ValueError, mg.DimensionMismatch, mg.EmptyStateSet, mg.DuplicatePoint, mg.LengthMismatch
+    }
+    for args in _DIRECT:
+        assert _outcome(mg.new_state_set, *args) == _outcome(reference_new_state_set, *args)
+    # a generator of rows is read once by each side
+    rows = [[0, 1], [1, 0]]
+    assert _outcome(mg.new_state_set, 2, iter(rows)) == _outcome(reference_new_state_set, 2, iter(rows))
+
+
+_NUMBERS = st.one_of(
+    st.integers(-9, 9),
+    st.floats(-1e3, 1e3),
+    st.floats(),
+    st.sampled_from([_BIG, -(10**309), 2**1023, 2**64, _NAN, -_INF]),
+)
+_ODD = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.floats(-9, 9).map(np.float64),
+)
+
+
+@st.composite
+def _documents(draw):
+    """Mostly well-formed documents, with up to two rows replaced by a faulty one."""
+    dim = draw(st.sampled_from([1, 2, 3] * 3 + [0, -1, True, 2.0]))
+    width = dim if type(dim) is int and dim > 0 else 2
+    number = st.one_of(st.floats(-1e3, 1e3), st.integers(-99, 99))
+    points = draw(st.lists(st.lists(number, min_size=width, max_size=width), max_size=6))
+    faulty = st.one_of(
+        st.lists(_NUMBERS, min_size=width, max_size=width),
+        st.lists(st.one_of(_NUMBERS, _ODD), min_size=width, max_size=width),
+        st.lists(st.one_of(_NUMBERS, _ODD), max_size=4),
+        st.sampled_from([None, "ab", 3, (1, 2), {"x": 1}]),
+    )
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if points else 0):
+        points[draw(st.integers(0, len(points) - 1))] = draw(faulty)
+    doc = {"dim": dim, "points": points}
+    if draw(st.booleans()):
+        doc["labels"] = draw(
+            st.one_of(
+                st.just([f"s{i}" for i in range(len(points))]),
+                st.lists(st.one_of(st.text(max_size=1), st.integers()), max_size=6),
+            )
+        )
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(_documents())
+def test_generated_documents_match_frozen_reference(doc):
+    assert _outcome(mg.state_set_from_json, doc) == _outcome(reference_state_set_from_json, doc)
+    args = (doc["dim"], doc["points"], doc.get("labels"))
+    assert _outcome(mg.new_state_set, *args) == _outcome(reference_new_state_set, *args)
 
 
 def test_shipped_files_parse():
