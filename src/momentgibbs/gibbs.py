@@ -77,8 +77,8 @@ def _log_weights(A: StateSet, beta) -> np.ndarray:
 
 def _normalized(log_w: np.ndarray) -> tuple[float, np.ndarray]:
     # max-shift keeps the sum finite; log_w - log_z <= 0 so exp never overflows
-    m = float(log_w.max())
-    log_z = m + float(np.log(np.exp(log_w - m).sum()))
+    m = float(np.maximum.reduce(log_w))
+    log_z = m + float(np.log(np.add.reduce(np.exp(log_w - m))))
     return log_z, np.exp(log_w - log_z)
 
 

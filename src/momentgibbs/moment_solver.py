@@ -17,20 +17,22 @@ positive definite), so a set and its 2^j multiple take the same steps. Beta
 is scaled back and lifted with zero component along the span's annihilator.
 Every solve starts at beta = 0, whose uniform weights depend on the set alone:
 the first solve on a set memoizes that state on it, and every solve reads it.
+The report keeps the solution's Gibbs weights and computes the entropy from
+them when it is read, so a solve for beta alone never loads scipy.special.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
 from .gibbs import _covariance, _entropy, _normalized
 from .polytope import _margin, _span_violation, convex_hull
-from .state_space import CoVector, StateSet, _frame_coords, affine_frame, point_array
+from .state_space import CoVector, StateSet, _frame_coords, point_array
 
 # targets closer to the boundary than this (relative to hull diameter, taken in
 # the set's unit, where it is finite) are refused: the solution diverges there
@@ -42,6 +44,7 @@ _ARMIJO_SLACK = 32.0 * sys.float_info.epsilon  # float64 eps, np.finfo(float).ep
 _MIN_STEP = 1e-14
 _SHRINK = 0.5  # backtracking factor of the line search
 _RIDGE_FLOOR = 1e-12  # first ridge, relative to the mean Hessian eigenvalue
+_dposv = None  # scipy.linalg.lapack.dposv, bound by the first Newton step
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,9 @@ class SolveOptions:
             raise ValueError("max_iter must be positive")
 
 
+_DEFAULTS = SolveOptions()
+
+
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of a moment inversion.
@@ -71,16 +77,22 @@ class SolveReport:
     scaled by the hull diameter (the convergence metric). `reduced` is true
     when the points did not affinely span the ambient space; the returned
     beta is then one representative of an affine family (the component along
-    the span's annihilator is zero and carries no information). Reports
-    compare and hash by identity.
+    the span's annihilator is zero and carries no information). `entropy` is
+    computed on each read from the solution's Gibbs weights, a private read-only
+    array left out of `repr`. Reports compare and hash by identity.
     """
 
     beta: CoVector
     iterations: int
     grad_norm: float
-    entropy: float
     converged: bool
     reduced: bool
+    _probs: np.ndarray = field(repr=False)
+
+    @property
+    def entropy(self) -> float:
+        """Shannon entropy of the Gibbs weights at the solved beta, in nats."""
+        return _entropy(self._probs)
 
 
 def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) -> SolveReport:
@@ -93,7 +105,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
     `polytope.tropical_limit` for the limiting face.
     """
     if opts is None:
-        opts = SolveOptions()
+        opts = _DEFAULTS
     t_full = point_array(target, A.dim)
     hull = convex_hull(A)
 
@@ -115,16 +127,9 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
     d = A.affine_dim
     reduced = d < A.dim
 
-    if d == 0:
-        # single state: the only admissible target is the point itself
-        return SolveReport(
-            beta=CoVector(np.zeros(A.dim)),
-            iterations=0,
-            grad_norm=0.0,
-            entropy=0.0,
-            converged=True,
-            reduced=reduced,
-        )
+    if d == 0:  # single state: the only admissible target is the point itself
+        one = np.broadcast_to(1.0, 1)  # its weights, read-only
+        return SolveReport(CoVector(np.zeros(A.dim)), 0, 0.0, True, reduced, one)
 
     pts = A._coords
     t = _frame_coords(A, t_full)
@@ -141,7 +146,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
 
     while True:
         grad = t - mean
-        grad_norm = float(np.abs(grad).max()) / hull._unit_diameter
+        grad_norm = float(np.maximum.reduce(np.abs(grad))) / hull._unit_diameter
         converged = grad_norm <= opts.grad_tol
         if converged or iterations == opts.max_iter:
             break
@@ -154,7 +159,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         stride = 1.0
         stalled = False
         while True:
-            cand = beta - stride * step
+            cand = beta - step if stride == 1.0 else beta - stride * step
             log_z_c, p_c = _normalized(pts @ -cand)
             f_c = log_z_c + float(cand @ t)
             if f_c <= f + _ARMIJO * stride * slope + slack:
@@ -168,14 +173,15 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         beta, f, p = cand, f_c, p_c
         mean = p @ pts
 
+    p.setflags(write=False)
     beta = np.ldexp(beta, -A._exp)
     report = SolveReport(
-        beta=CoVector(affine_frame(A)[1] @ beta if reduced else beta),
+        beta=CoVector(A._span @ beta if reduced else beta),
         iterations=iterations,
         grad_norm=grad_norm,
-        entropy=_entropy(p),
         converged=converged,
         reduced=reduced,
+        _probs=p,
     )
     if not converged:
         raise NoConvergence(
@@ -210,13 +216,15 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     an illegal-argument code. The factor needs no check: each entry below the
     diagonal enters the pivot of its row, so with info 0 all are finite.
     """
-    from scipy.linalg.lapack import dposv
+    global _dposv
+    if _dposv is None:
+        from scipy.linalg.lapack import dposv as _dposv
 
     a = hess
     reg = 0.0
     for _ in range(40):
         _check_finite(a)
-        _, step, info = dposv(a, grad, lower=1)
+        _, step, info = _dposv(a, grad, lower=1)
         if info == 0:
             _check_finite(grad)
             return step
@@ -234,6 +242,6 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(x: np.ndarray) -> None:
-    """The check `np.asarray_chkfinite` makes, with its message, for an array."""
-    if not np.isfinite(x).all():
+    """`np.asarray_chkfinite`'s check and message, by one pass over the few (d <= 6) entries."""
+    if not all(map(math.isfinite, x.ravel().tolist())):
         raise ValueError("array must not contain infs or NaNs")

@@ -217,7 +217,7 @@ def interior_margin(Q: Polytope, x) -> float:
 def _margin(Q: Polytope, p: np.ndarray) -> float:
     """`interior_margin` of a (n,) float array already known to lie on the span."""
     margins = (Q.facets[:, :-1] @ p - Q.facets[:, -1]) / Q._facet_norms
-    return float(margins.min(initial=math.inf))  # no facets: a single point
+    return float(np.minimum.reduce(margins, initial=math.inf))  # no facets: a single point
 
 
 def _span_violation(Q: Polytope, p: np.ndarray) -> float:
@@ -226,7 +226,7 @@ def _span_violation(Q: Polytope, p: np.ndarray) -> float:
     eqs = Q.span_equations
     if not len(eqs):
         return 0.0
-    viol = float(np.abs(eqs[:, :-1] @ p - eqs[:, -1]).max())
+    viol = float(np.maximum.reduce(np.abs(eqs[:, :-1] @ p - eqs[:, -1])))
     return viol if viol > math.ldexp(_SPAN_TOL, Q._exp) else 0.0
 
 
@@ -248,7 +248,11 @@ def min_face(A: StateSet, direction) -> FaceResult:
     if math.isinf(tol):  # the spread overflowed; halving is exact at this magnitude
         tol = 2 * _TIE_REL * (high / 2 - low / 2)
     idx = np.flatnonzero(pairings <= low + tol)
-    bary = A.points[idx].mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bary = A.points[idx].mean(axis=0)
+    if not np.all(np.isfinite(bary)):  # a sum overflowed: average those in the unit 2^k
+        unit = np.ldexp(np.ldexp(A.points[idx], -A._exp).mean(axis=0), A._exp)
+        bary = np.where(np.isfinite(bary), bary, unit)
     return FaceResult(tuple(int(i) for i in idx), value, _frozen(bary))
 
 

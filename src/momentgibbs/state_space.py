@@ -96,9 +96,10 @@ class StateSet:
     only on failure. Construction picks the set's frame, the unit 2^k with k
     the binary exponent of the largest |coordinate|, and does one thin SVD of
     the 2^-k-scaled centered points. `affine_dim` and the frame `affine_frame`
-    returns are read from it, and the solver's coordinates (`_frame_coords` of
-    the points) are cached read-only. `is_lattice` records whether every input
-    coordinate was an integer. Points are stored as float64 exactly as given.
+    returns are read from it; the (n, d) span matrix, the first point in the
+    unit and the solver's coordinates (`_frame_coords` of the points) are cached
+    read-only. `is_lattice` records whether every input coordinate was an
+    integer. Points are stored as float64 exactly as given.
     """
 
     dim: int
@@ -106,9 +107,11 @@ class StateSet:
     labels: tuple[str, ...] | None = None
     affine_dim: int = field(init=False)
     is_lattice: bool = field(init=False)
-    # the frame: k, all n right singular vectors (see __post_init__), coordinates
+    # the frame: k, all n right singular vectors (see __post_init__), span, origin, coordinates
     _exp: int = field(init=False, repr=False, compare=False)
     _vh: np.ndarray = field(init=False, repr=False, compare=False)
+    _span: np.ndarray = field(init=False, repr=False, compare=False)
+    _origin: np.ndarray = field(init=False, repr=False, compare=False)
     _coords: np.ndarray = field(init=False, repr=False, compare=False)
     # memos filled by `polytope.convex_hull` and `moment_solver.invert_mean_energy`
     # on first use; not part of the value
@@ -142,13 +145,14 @@ class StateSet:
         # thin when N >= n; with fewer points than coordinates the complement
         # needs all n rows of vh, and the left factor is at most n x n anyway
         _, s, vh = np.linalg.svd(unit - unit[0], full_matrices=pts.shape[0] < self.dim)
-        vh.setflags(write=False)
         object.__setattr__(self, "_exp", k)
         object.__setattr__(self, "_vh", vh)
         object.__setattr__(self, "affine_dim", int(np.sum(s > RANK_TOL * s[0])))
-        coords = _frame_coords(self, pts)
-        coords.setflags(write=False)
-        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_span", vh[: self.affine_dim].T.copy())
+        object.__setattr__(self, "_origin", unit[0].copy())
+        object.__setattr__(self, "_coords", _frame_coords(self, pts))
+        for arr in (vh, self._span, self._origin, self._coords):
+            arr.setflags(write=False)
         object.__setattr__(self, "is_lattice", bool(np.all(pts == np.rint(pts))))
 
     def __len__(self) -> int:
@@ -194,7 +198,7 @@ class CoVector:
         comp = np.atleast_1d(_float_array(self.components, "covector has a component"))
         if comp.ndim != 1 or comp.size < 1:
             raise ValueError("covector needs at least one component")
-        if not np.all(np.isfinite(comp)):
+        if not np.logical_and.reduce(np.isfinite(comp)):
             raise ValueError("covector components must be finite")
         comp = comp.copy()
         comp.setflags(write=False)
@@ -233,12 +237,11 @@ def affine_frame(A: StateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (origin, span, complement): `origin` is the first point, `span`
     is n x d with columns spanning the centered point directions, and
-    `complement` is n x (n-d) with columns spanning the annihilator. The frame
-    is read from the SVD computed at construction, the same factorization
-    `affine_dim` counts, so the split agrees with it by construction.
+    `complement` is n x (n-d) with columns spanning the annihilator, each a
+    fresh C-ordered copy. The frame is read from the SVD computed at
+    construction, the same factorization `affine_dim` counts.
     """
-    d = A.affine_dim
-    return A.points[0].copy(), A._vh[:d].T.copy(), A._vh[d:].T.copy()
+    return A.points[0].copy(), A._span.copy(), A._vh[A.affine_dim :].T.copy()
 
 
 def _frame_coords(A: StateSet, x: np.ndarray) -> np.ndarray:
@@ -246,7 +249,7 @@ def _frame_coords(A: StateSet, x: np.ndarray) -> np.ndarray:
     unit = np.ldexp(x, -A._exp)
     if A.affine_dim == A.dim:
         return unit
-    return (unit - np.ldexp(A.points[0], -A._exp)) @ A._vh[: A.affine_dim].T.copy()
+    return (unit - A._origin) @ A._span
 
 
 def covector_array(beta, dim: int) -> np.ndarray:
@@ -257,7 +260,7 @@ def covector_array(beta, dim: int) -> np.ndarray:
         comp = np.atleast_1d(_float_array(beta, "covector has a component"))
     if comp.ndim != 1 or comp.shape[0] != dim:
         raise DimensionMismatch(f"covector has {comp.size} components, expected {dim}")
-    if not np.all(np.isfinite(comp)):
+    if not np.logical_and.reduce(np.isfinite(comp)):
         raise ValueError("covector components must be finite")
     return np.asarray(comp, dtype=float)
 
@@ -267,7 +270,7 @@ def point_array(x, dim: int) -> np.ndarray:
     p = np.atleast_1d(_float_array(x, "point has a coordinate"))
     if p.ndim != 1 or p.shape[0] != dim:
         raise DimensionMismatch(f"point has {p.size} coordinates, expected {dim}")
-    if not np.all(np.isfinite(p)):
+    if not np.logical_and.reduce(np.isfinite(p)):
         raise ValueError("point coordinates must be finite")
     return p
 

@@ -13,6 +13,7 @@ document keeps its outcome.
 
 import math
 import sys
+from collections import namedtuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -197,12 +198,20 @@ def central_jacobian(f, x, h):
     return np.stack(cols, axis=1)
 
 
+# a solve's outcome under `SolveReport`'s attribute names, with the entropy computed eagerly
+ReferenceReport = namedtuple(
+    "ReferenceReport", "beta iterations grad_norm entropy converged reduced"
+)
+
+
 def reference_invert(A, target, opts=None):
     """`invert_mean_energy` frozen: every solve recomputes the beta = 0 state,
     F is recomputed at each iteration, log weights are -(pts @ beta) and each
     Newton step calls dpotrf and then dpotrs. The feasibility guard, the frame
-    and the report types are the package's; the loop and its kernels are
-    copies, so a change to them cannot move the reference."""
+    and the error types are the package's; the loop and its kernels are
+    copies, so a change to them cannot move the reference. The entropy is
+    computed eagerly with its own `xlogy` and returned in a `ReferenceReport`,
+    so it checks the report's entropy computed on read."""
     opts = opts or mg.SolveOptions()
     t_full = point_array(target, A.dim)
     hull = mg.convex_hull(A)
@@ -222,7 +231,7 @@ def reference_invert(A, target, opts=None):
     d = A.affine_dim
     reduced = d < A.dim
     if d == 0:
-        return mg.SolveReport(mg.CoVector(np.zeros(A.dim)), 0, 0.0, 0.0, True, reduced)
+        return ReferenceReport(mg.CoVector(np.zeros(A.dim)), 0, 0.0, 0.0, True, reduced)
 
     pts = A._coords
     t = _frame_coords(A, t_full)
@@ -257,7 +266,7 @@ def reference_invert(A, target, opts=None):
         beta, log_z, p = cand, log_z_c, p_c
 
     beta = np.ldexp(beta, -A._exp)
-    report = mg.SolveReport(
+    report = ReferenceReport(
         beta=mg.CoVector(affine_frame(A)[1] @ beta if reduced else beta),
         iterations=iterations,
         grad_norm=grad_norm,

@@ -367,6 +367,17 @@ def test_limit_value_beyond_the_float_range_is_one_stderr_line(tmp_path, capsys)
     assert capsys.readouterr().err == "ValueError: a result is -inf, which is not a finite double\n"
 
 
+def test_limit_of_tied_states_whose_sum_overflows(tmp_path, capsys):
+    # 1.7e308 + 1.7e308 is not a double, but the barycenter of the tied pair is
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"dim": 2, "points": [[1.7e308, 0], [1.7e308, 1], [0, 0]]}))
+    assert cli.main(["limit", str(path), "--direction=-1,0"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["face"] == [0, 1]
+    assert json.loads(out.out)["limit"] == [1.7e308, 0.5]
+
+
 def test_microstates_command():
     doc = load_doc("two_state.json")
     out = payload(cli.cmd_microstates(doc, total=50, seed=42, beta="1.0986122886681098"))

@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -94,6 +95,37 @@ def test_no_convergence_carries_report(two_state):
     assert report is not None and not report.converged
     assert report.iterations == 2
     assert report.grad_norm > mg.SolveOptions().grad_tol
+    # the partial report's entropy is read from its own weights
+    p = mg.gibbs_distribution(two_state, report.beta)
+    assert report.entropy == pytest.approx(mg.entropy(p), rel=1e-12)
+
+
+def test_report_entropy_is_computed_from_hidden_read_only_weights(square, two_state):
+    r = mg.invert_mean_energy(square, [0.25, 0.6])
+    assert "_probs" not in repr(r) and "entropy" not in repr(r)
+    assert r.entropy == r.entropy == mg.entropy(mg.Distribution(r._probs, square))
+    for weights in (r._probs, mg.invert_mean_energy(two_state, [0.5])._probs):
+        with pytest.raises(ValueError):
+            weights[0] = 0.5
+    single = mg.invert_mean_energy(mg.new_state_set(2, [[1.0, 2.0]]), [1.0, 2.0])
+    assert single.entropy == 0.0 and math.copysign(1.0, single.entropy) == 1.0
+    with pytest.raises(ValueError):
+        single._probs[0] = 0.5
+
+
+def test_beta_alone_never_loads_scipy_special():
+    # a planar hull needs no scipy; the Newton steps load scipy.linalg, and
+    # scipy.special loads on the first read of the entropy
+    probe = (
+        "import sys, momentgibbs as mg; "
+        "A = mg.new_state_set(2, [[0, 0], [1, 0], [0, 1], [2, 3]]); "
+        "mg.solve_gradient(A, [0.5, 0.75]); "
+        "loaded = lambda: [m in sys.modules for m in ('scipy.linalg', 'scipy.special')]; "
+        "print(loaded()); r = mg.invert_mean_energy(A, [0.5, 0.75]); print(loaded()); "
+        "r.entropy; print(loaded())"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
+    assert run.stdout.splitlines() == ["[True, False]", "[True, False]", "[True, True]"]
 
 
 def test_degenerate_span_reduced_solve(collinear):

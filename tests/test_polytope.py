@@ -445,6 +445,23 @@ def test_min_face_with_overflowing_pairings():
     assert mg.min_face(A, [1.7e308] * 3).indices == (1,)
 
 
+def test_min_face_barycenter_whose_sum_overflows():
+    # the first coordinates sum to inf: they are averaged in the set's unit 2^k
+    A = mg.new_state_set(2, [[1.7e308, 0], [1.7e308, 1], [0, 0]])
+    face = mg.min_face(A, [-1.0, 0.0])
+    assert face.indices == (0, 1)
+    assert face.barycenter.tolist() == [1.7e308, 0.5]
+    assert mg.tropical_limit(A, [-1.0, 0.0]).tolist() == [1.7e308, 0.5]
+    # a finite mean keeps its caller-unit bits: 1e-300 * 2^-1024 is zero
+    A = mg.new_state_set(2, [[1.7e308, 1e-300], [1.7e308, 3e-300], [0, 0]])
+    assert mg.min_face(A, [-1.0, 0.0]).barycenter.tolist() == [1.7e308, (1e-300 + 3e-300) / 2]
+    # pairwise summation meets inf and -inf partial sums: nan is averaged in the unit too
+    A = mg.new_state_set(1, [[(1.7e308 - i * 1e300) * (-1) ** i] for i in range(16)])
+    face = mg.min_face(A, [0.0])
+    assert len(face.indices) == 16
+    assert face.barycenter[0] == pytest.approx(5e299, abs=1e-15 * 1.7e308)  # cancellation
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
 def test_min_face_scale_invariant(scale):

@@ -183,6 +183,11 @@ def test_affine_frame_matches_separate_svds():
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             # fresh C-ordered copies: a view's layout can change product bits
             assert got.flags.c_contiguous and got.flags.writeable
+        # the cached span and origin the solver reads: the same bits, read-only
+        origin, span, _ = affine_frame(A)
+        assert A._span.tobytes() == span.tobytes() and A._span.flags.c_contiguous
+        assert A._origin.tobytes() == np.ldexp(origin, -A._exp).tobytes()
+        assert not A._span.flags.writeable and not A._origin.flags.writeable
         kinds.add((d < n, "N>n" if N > n else "N==n" if N == n else "N<n"))
     assert kinds == {(True, "N>n"), (False, "N>n"), (True, "N==n"), (True, "N<n")}
     assert dims[-6:-4] == [3, 2]  # the two sets at 1e-12 (the old floor gave 0 and 0)
