@@ -4,13 +4,17 @@ All log-domain sums use the max-shift (log-sum-exp) form, so every operation
 stays finite for any finite inverse temperature, including the deep
 low-temperature regime where naive exponentials overflow.
 
-scipy.special (for ``xlogy``) loads on the first entropy computation, not on
-import, so callers that never need the entropy never load scipy.
+The entropy's ``xlogy`` loads on its first use from scipy's compiled module,
+with no scipy package (`_scipy_kernel`): callers that never need it load none.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -89,9 +93,27 @@ def _covariance(pts: np.ndarray, p: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def _entropy(p: np.ndarray) -> float:
-    from scipy.special import xlogy
+_KERNELS = {}  # scipy's compiled modules by name, each loaded once per process
 
+
+def _scipy_kernel(name: str):
+    """scipy's compiled module `name`, loaded from its file without the package
+    __init__ files above it, whose array-API layer imports ~250 ms of numpy. It
+    leaves sys.modules again, so a later scipy import loads it as the package's
+    attribute, with the same function objects (the module is single-phase). A
+    module scipy has already loaded is used as it is."""
+    module = _KERNELS.get(name) or sys.modules.get(name)
+    if module is None:
+        root = PathFinder.find_spec("scipy").submodule_search_locations[0]
+        spec = PathFinder.find_spec(name, [os.path.join(root, name.split(".")[1])])
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(name, None)
+    return _KERNELS.setdefault(name, module)
+
+
+def _entropy(p: np.ndarray) -> float:
+    xlogy = _scipy_kernel("scipy.special._special_ufuncs").xlogy
     return float(-xlogy(p, p).sum() + 0.0)  # +0.0 avoids -0.0
 
 

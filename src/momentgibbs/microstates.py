@@ -15,9 +15,8 @@ contract so counts freeze across platforms:
 
 Regression vectors for this stream live in the test suite and the README.
 
-Totals and counts are int64, so a total must be below 2**63. scipy.special
-(``gammaln``, ``xlogy``) loads on the first call of the two log-count
-functions, not on import.
+Totals and counts are int64, so a total must be below 2**63. ``gammaln`` and
+``xlogy`` load on the first log-count call, with no scipy package loaded.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTotal, LengthMismatch
-from .gibbs import Distribution
+from .gibbs import Distribution, _scipy_kernel
 from .state_space import StateSet, _value_eq
 
 GENERATOR_NAME = "philox4x64-10"
@@ -114,14 +113,13 @@ def log_multinomial_measure(p: Distribution, c: MicrostateCounts) -> float:
     zero-probability state with a nonzero count makes the measure exactly
     zero; that is reported as -inf, not an error.
     """
-    from scipy.special import gammaln, xlogy
-
     if len(c.counts) != len(p):
         raise LengthMismatch(f"{len(c.counts)} counts for {len(p)} probabilities")
     counts = c.counts
     if np.any((p.probs == 0.0) & (counts > 0)):
         return float("-inf")
-    value = gammaln(c.total + 1) - gammaln(counts + 1).sum() + xlogy(counts, p.probs).sum()
+    sf = _scipy_kernel("scipy.special._special_ufuncs")
+    value = sf.gammaln(c.total + 1) - sf.gammaln(counts + 1).sum() + sf.xlogy(counts, p.probs).sum()
     return float(value)
 
 
@@ -132,7 +130,6 @@ def log_equilibrium_count(p: Distribution, total: int) -> float:
     valid for non-integer total*p. Divided by total, this converges to the
     entropy of p as total grows.
     """
-    from scipy.special import gammaln
-
+    gammaln = _scipy_kernel("scipy.special._special_ufuncs").gammaln
     total = _check_total(total)
     return float(gammaln(total + 1) - gammaln(total * p.probs + 1.0).sum())

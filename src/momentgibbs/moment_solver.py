@@ -18,7 +18,7 @@ is scaled back and lifted with zero component along the span's annihilator.
 Every solve starts at beta = 0, whose uniform weights depend on the set alone:
 the first solve on a set memoizes that state on it, and every solve reads it.
 The report keeps the solution's Gibbs weights and computes the entropy from
-them when it is read, so a solve for beta alone never loads scipy.special.
+them when it is read, so a solve for beta alone never loads ``xlogy``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
-from .gibbs import _covariance, _entropy, _normalized
+from .gibbs import _covariance, _entropy, _normalized, _scipy_kernel
 from .polytope import _margin, _span_violation, convex_hull
 from .state_space import CoVector, StateSet, _frame_coords, point_array
 
@@ -44,7 +44,7 @@ _ARMIJO_SLACK = 32.0 * sys.float_info.epsilon  # float64 eps, np.finfo(float).ep
 _MIN_STEP = 1e-14
 _SHRINK = 0.5  # backtracking factor of the line search
 _RIDGE_FLOOR = 1e-12  # first ridge, relative to the mean Hessian eigenvalue
-_dposv = None  # scipy.linalg.lapack.dposv, bound by the first Newton step
+_dposv = None  # LAPACK's dposv, bound by the first Newton step
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,11 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     input raises ValueError (the gradient only once a factor exists), as does
     an illegal-argument code. The factor needs no check: each entry below the
     diagonal enters the pivot of its row, so with info 0 all are finite.
+    dposv is bound from scipy.linalg.lapack's compiled module, with no scipy package.
     """
     global _dposv
     if _dposv is None:
-        from scipy.linalg.lapack import dposv as _dposv
+        _dposv = _scipy_kernel("scipy.linalg._flapack").dposv
 
     a = hess
     reg = 0.0

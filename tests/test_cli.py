@@ -547,6 +547,43 @@ def test_hull_limit_toric_never_import_scipy():
     assert run.stdout.splitlines()[-1] == b"[]"
 
 
+def test_solve_and_entropy_commands_load_no_scipy_package():
+    # dposv, xlogy and gammaln load from scipy's compiled modules alone
+    argvs = []
+    for path in sorted(DATA_DIR.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        beta = ",".join(["0.3"] * doc["dim"])
+        mean = ",".join(map(repr, np.mean(doc["points"], axis=0).tolist()))
+        argvs += [
+            ["forward", str(path), "--beta", beta],
+            ["invert", str(path), "--mean", mean],
+            ["sweep", str(path), "--from", "-1", "--to", "1", "--steps", "5"],
+            ["microstates", str(path), "--total", "100", "--seed", "3", "--beta", beta],
+            ["check", str(path), "--points", "10"],
+        ]
+    probe = (
+        "import sys, momentgibbs.cli as cli; "
+        f"codes = [cli.main(argv) for argv in {argvs!r}]; "
+        f"print(codes, file=sys.stderr); {_PRINT_SCIPY_MODULES}"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True)
+    assert run.stderr.strip() == str([0] * len(argvs)).encode()
+    assert run.stdout.splitlines()[-1] == b"[]"
+
+
+def test_hull_of_affine_dimension_three_loads_scipy_spatial(tmp_path):
+    path = tmp_path / "tetrahedron.json"
+    path.write_text(json.dumps({"dim": 3, "points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    probe = (
+        "import sys, momentgibbs.cli as cli; "
+        f"print(cli.main(['hull', {str(path)!r}]), file=sys.stderr); "
+        "print('scipy.spatial' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True)
+    assert run.stderr.strip() == b"0"
+    assert run.stdout.splitlines()[-1] == b"True"
+
+
 def test_no_module_level_scipy_import():
     # a module-level scipy import would load it for every command again;
     # imports inside a function body load on first call and are allowed

@@ -114,18 +114,58 @@ def test_report_entropy_is_computed_from_hidden_read_only_weights(square, two_st
 
 
 def test_beta_alone_never_loads_scipy_special():
-    # a planar hull needs no scipy; the Newton steps load scipy.linalg, and
-    # scipy.special loads on the first read of the entropy
+    # a planar hull needs no scipy.spatial; dposv and xlogy load from their
+    # compiled modules, so no scipy package loads, and xlogy is bound only
+    # when the entropy is first read
     probe = (
-        "import sys, momentgibbs as mg; "
+        "import sys, momentgibbs as mg, momentgibbs.gibbs as g; "
         "A = mg.new_state_set(2, [[0, 0], [1, 0], [0, 1], [2, 3]]); "
-        "mg.solve_gradient(A, [0.5, 0.75]); "
-        "loaded = lambda: [m in sys.modules for m in ('scipy.linalg', 'scipy.special')]; "
-        "print(loaded()); r = mg.invert_mean_energy(A, [0.5, 0.75]); print(loaded()); "
+        "loaded = lambda: (sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "sorted(g._KERNELS)); "
+        "mg.solve_gradient(A, [0.5, 0.75]); print(loaded()); "
+        "r = mg.invert_mean_energy(A, [0.5, 0.75]); print(loaded()); "
         "r.entropy; print(loaded())"
     )
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
-    assert run.stdout.splitlines() == ["[True, False]", "[True, False]", "[True, True]"]
+    solved = "([], ['scipy.linalg._flapack'])"
+    read = "([], ['scipy.linalg._flapack', 'scipy.special._special_ufuncs'])"
+    assert run.stdout.splitlines() == [solved, solved, read]
+
+
+_IMPORT_ORDER_PROBE = """
+import sys
+import numpy as np
+import momentgibbs as mg
+import momentgibbs.gibbs as g
+import momentgibbs.moment_solver as ms
+if SCIPY_FIRST:
+    import scipy.linalg
+    flapack = scipy.linalg._flapack
+A = mg.new_state_set(2, [[0, 0], [1, 0], [0, 1], [2, 3]])
+mg.invert_mean_energy(A, [0.5, 0.75]).entropy
+p = mg.gibbs_distribution(A, [0.1, 0.2])
+mg.log_multinomial_measure(p, mg.sample_counts(p, 50, 7))
+import scipy.linalg, scipy.special, scipy.spatial
+if SCIPY_FIRST:
+    assert g._KERNELS["scipy.linalg._flapack"] is flapack
+special = g._KERNELS["scipy.special._special_ufuncs"]
+assert scipy.linalg.lapack.dposv is ms._dposv
+assert scipy.linalg._flapack.dposv is ms._dposv
+assert special.xlogy is scipy.special.xlogy and special.gammaln is scipy.special.gammaln
+assert (scipy.linalg.cho_factor(4.0 * np.eye(2))[0] == 2.0 * np.eye(2)).all()
+assert abs(scipy.spatial.ConvexHull(np.r_[np.zeros((1, 3)), np.eye(3)]).volume - 1 / 6) < 1e-15
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_kernels_are_scipys_own_in_either_import_order(scipy_first):
+    # the kernels are scipy's own objects whichever loads first, and scipy's
+    # packages still work after them; this pins the private module names, so
+    # a scipy release that moves a kernel fails here
+    probe = f"SCIPY_FIRST = {scipy_first}" + _IMPORT_ORDER_PROBE
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "ok\n")
 
 
 def test_degenerate_span_reduced_solve(collinear):
