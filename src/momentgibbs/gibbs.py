@@ -97,11 +97,11 @@ _KERNELS = {}  # scipy's compiled modules by name, each loaded once per process
 
 
 def _scipy_kernel(name: str):
-    """scipy's compiled module `name`, loaded from its file without the package
-    __init__ files above it, whose array-API layer imports ~250 ms of numpy. It
-    leaves sys.modules again, so a later scipy import loads it as the package's
-    attribute, with the same function objects (the module is single-phase). A
-    module scipy has already loaded is used as it is."""
+    """scipy's compiled module `name`, e.g. "scipy.linalg._flapack", loaded from
+    its file without the package __init__ files above it, whose array-API layer
+    imports ~250 ms of numpy. It leaves sys.modules again, so a later scipy import
+    loads it as the package's attribute, with the same function objects (it is
+    single-phase). A module scipy has already loaded is used as it is."""
     module = _KERNELS.get(name) or sys.modules.get(name)
     if module is None:
         root = PathFinder.find_spec("scipy").submodule_search_locations[0]

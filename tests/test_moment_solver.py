@@ -133,7 +133,6 @@ def test_beta_alone_never_loads_scipy_special():
 
 
 _IMPORT_ORDER_PROBE = """
-import sys
 import numpy as np
 import momentgibbs as mg
 import momentgibbs.gibbs as g
