@@ -93,27 +93,28 @@ def _covariance(pts: np.ndarray, p: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-_KERNELS = {}  # scipy's compiled modules by name, each loaded once per process
+_SPECIAL, _FLAPACK = "scipy.special._special_ufuncs", "scipy.linalg._flapack"
+_KERNEL_MODULES = {"xlogy": _SPECIAL, "gammaln": _SPECIAL, "dposv": _FLAPACK}  # as in scipy 1.17
+_KERNELS = {}  # those modules by name, each loaded once per process
 
 
-def _scipy_kernel(name: str):
-    """scipy's compiled module `name`, e.g. "scipy.linalg._flapack", loaded from
-    its file without the package __init__ files above it, whose array-API layer
-    imports ~250 ms of numpy. It leaves sys.modules again, so a later scipy import
-    loads it as the package's attribute, with the same function objects (it is
-    single-phase). A module scipy has already loaded is used as it is."""
-    module = _KERNELS.get(name) or sys.modules.get(name)
+def _scipy_kernel(kernel: str):
+    """scipy's `kernel` from its compiled module, loaded from its file without the package
+    __init__ files, whose array-API layer imports ~250 ms of numpy submodules."""
+    module = _KERNELS.get(name := _KERNEL_MODULES[kernel]) or sys.modules.get(name)
     if module is None:
-        root = PathFinder.find_spec("scipy").submodule_search_locations[0]
-        spec = PathFinder.find_spec(name, [os.path.join(root, name.split(".")[1])])
+        scipy = PathFinder.find_spec("scipy")
+        sub = scipy and os.path.join(scipy.submodule_search_locations[0], name.split(".")[1])
+        if (spec := sub and PathFinder.find_spec(name, [sub])) is None:
+            raise ImportError(f"no module {name} on sys.path (scipy>=1.17 has it)", name=name)
         module = module_from_spec(spec)
         spec.loader.exec_module(module)
-        sys.modules.pop(name, None)
-    return _KERNELS.setdefault(name, module)
+        sys.modules.pop(name, None)  # scipy's import reloads it: single-phase, same functions
+    return getattr(_KERNELS.setdefault(name, module), kernel)
 
 
 def _entropy(p: np.ndarray) -> float:
-    xlogy = _scipy_kernel("scipy.special._special_ufuncs").xlogy
+    xlogy = _scipy_kernel("xlogy")
     return float(-xlogy(p, p).sum() + 0.0)  # +0.0 avoids -0.0
 
 

@@ -118,8 +118,8 @@ def log_multinomial_measure(p: Distribution, c: MicrostateCounts) -> float:
     counts = c.counts
     if np.any((p.probs == 0.0) & (counts > 0)):
         return float("-inf")
-    sf = _scipy_kernel("scipy.special._special_ufuncs")
-    value = sf.gammaln(c.total + 1) - sf.gammaln(counts + 1).sum() + sf.xlogy(counts, p.probs).sum()
+    gammaln, xlogy = _scipy_kernel("gammaln"), _scipy_kernel("xlogy")
+    value = gammaln(c.total + 1) - gammaln(counts + 1).sum() + xlogy(counts, p.probs).sum()
     return float(value)
 
 
@@ -130,6 +130,6 @@ def log_equilibrium_count(p: Distribution, total: int) -> float:
     valid for non-integer total*p. Divided by total, this converges to the
     entropy of p as total grows.
     """
-    gammaln = _scipy_kernel("scipy.special._special_ufuncs").gammaln
+    gammaln = _scipy_kernel("gammaln")
     total = _check_total(total)
     return float(gammaln(total + 1) - gammaln(total * p.probs + 1.0).sum())

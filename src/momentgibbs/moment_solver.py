@@ -209,17 +209,16 @@ def solve_gradient(A: StateSet, target, opts: SolveOptions | None = None) -> CoV
 def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve hess @ s = grad by Cholesky, adding a scaled ridge if it fails.
 
-    One dposv call runs dpotrf and dpotrs with the arguments cho_factor and
-    cho_solve pass, so the step has their bits; at the solver's d <= 6 the
-    wrappers cost over ten times the routine. Their checks stay: a non-finite
-    input raises ValueError (the gradient only once a factor exists), as does
-    an illegal-argument code. The factor needs no check: each entry below the
-    diagonal enters the pivot of its row, so with info 0 all are finite.
+    One dposv call runs dpotrf and dpotrs with the arguments cho_factor and cho_solve pass,
+    so the step has their bits; at the solver's d <= 6 the wrappers cost over ten times the
+    routine. Their checks stay: a non-finite input raises ValueError (the gradient only once
+    a factor exists), as does an illegal-argument code. The factor needs no check: each
+    entry below the diagonal enters the pivot of its row, so with info 0 all are finite.
     dposv is bound from scipy.linalg.lapack's compiled module, with no scipy package.
     """
     global _dposv
     if _dposv is None:
-        _dposv = _scipy_kernel("scipy.linalg._flapack").dposv
+        _dposv = _scipy_kernel("dposv")
 
     a = hess
     reg = 0.0

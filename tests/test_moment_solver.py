@@ -167,6 +167,21 @@ def test_kernels_are_scipys_own_in_either_import_order(scipy_first):
     assert (run.returncode, run.stderr, run.stdout) == (0, "", "ok\n")
 
 
+def test_a_kernel_module_not_on_sys_path_raises_an_import_error_naming_it(monkeypatch):
+    # a scipy older than the declared floor lacks the module; an install that
+    # only a sys.meta_path finder can locate hides scipy itself from PathFinder
+    import momentgibbs.gibbs as g
+
+    monkeypatch.setitem(g._KERNEL_MODULES, "absent", "scipy.special._absent")
+    with pytest.raises(ImportError, match="scipy.special._absent") as missing:
+        g._scipy_kernel("absent")
+    assert missing.value.name == "scipy.special._absent"
+    monkeypatch.setattr(g, "PathFinder", type("NoScipy", (), {"find_spec": lambda *a: None}))
+    with pytest.raises(ImportError, match="scipy.special._absent"):
+        g._scipy_kernel("absent")
+    assert "scipy.special._absent" not in g._KERNELS
+
+
 def test_degenerate_span_reduced_solve(collinear):
     r = mg.invert_mean_energy(collinear, [0.7, 0.7])
     assert r.reduced and r.converged
