@@ -5,15 +5,19 @@ doubles exactly, so identical invocations produce byte-identical payloads; a
 non-finite number is refused, so stdout is strict JSON. Exit codes: 0 success,
 2 invalid input (or a result that is not a finite double), 3 infeasible target,
 4 convergence failure (and 1 when `check` finds a residual above tolerance).
-Each command is a `cmd_*` function, registered once in `_build_parser`; the
-exit-code mapping lives in one place, the `_command` error boundary that
-wraps every command (and `main` exits 2 on unreadable input or invalid JSON).
+Each command is a `cmd_*` function, registered once in `_build_parser`, that
+imports the layers it uses in its own body, so a process loads only its
+command's modules. The exit-code mapping lives in one place, the `_command`
+error boundary that wraps every command (and `main` exits 2 on unreadable
+input or invalid JSON). `--steps`, `--points` and `--total` are capped, so
+every op finishes in seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -22,25 +26,18 @@ from itertools import repeat
 
 import numpy as np
 
-from .duality import legendre_residual, legendre_roundtrip
-from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
-from .gibbs import entropy, gibbs_distribution, gibbs_summary, mean_energy
-from .microstates import (
-    GENERATOR_NAME,
-    log_equilibrium_count,
-    log_multinomial_measure,
-    sample_counts,
-)
-from .moment_solver import SolveOptions, invert_mean_energy
-from .polytope import _limit_face, convex_hull
+from .errors import InvalidTotal, NoConvergence, TargetOnBoundary, TargetOutsideHull
 from .state_space import StateSet, state_set_from_json
-from .toric import moment_of_beta, positive_point
 
 SCHEMA = "moment-gibbs/v1"
 
 _CHECK_GRID_KEY = 987654321  # fixed stream key for the check command's grid
 _CHECK_RESIDUAL_TOL = 1e-10
 _CHECK_ROUNDTRIP_TOL = 1e-8
+# caps on the three counts, so every op finishes in seconds on a desk machine
+_MAX_STEPS = 10_000
+_MAX_POINTS = 1_000
+_MAX_TOTAL = 10**8
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,10 @@ def _command(body):
     parameter, a StateSet, and builds the set from it. Invalid input found at
     any stage (building the set, parsing options, computing) becomes an error
     payload through `_error_result`: exit 3 for an infeasible target, 4 for a
-    solve that hit its iteration cap, 2 for anything else. numpy's
-    floating-point warnings are silenced, so stderr gets only the diagnostic
-    line; non-finite weights and targets fail explicit checks, non-finite results fail `_fmt`.
+    solve that hit its iteration cap, 2 for anything else (running out of
+    memory included). numpy's floating-point warnings are silenced, so stderr
+    gets only the diagnostic line; non-finite weights and targets fail explicit
+    checks, non-finite results fail `_fmt`.
     """
 
     @functools.wraps(body)
@@ -141,6 +139,8 @@ def _command(body):
                 return body(state_set_from_json(doc), *args, **kwargs)
         except (ValueError, NoConvergence) as exc:
             return _error_result(exc)
+        except MemoryError as exc:  # numpy raises a subclass; report the base type
+            return _error_result(MemoryError(str(exc) or "out of memory"))
 
     return command
 
@@ -148,6 +148,8 @@ def _command(body):
 @_command
 def cmd_forward(A: StateSet, beta: str) -> CommandResult:
     """Partition function, Gibbs weights, moments, and entropy at one beta."""
+    from .gibbs import gibbs_summary
+
     s = gibbs_summary(A, _parse_vector(beta, "beta"))
     return _result(
         {
@@ -161,11 +163,15 @@ def cmd_forward(A: StateSet, beta: str) -> CommandResult:
 
 
 @_command
-def cmd_invert(
-    A: StateSet, mean: str, tol: float = SolveOptions.grad_tol, max_iter: int = SolveOptions.max_iter
-) -> CommandResult:
-    """Solve for the beta whose Gibbs mean equals the requested vector."""
-    opts = SolveOptions(grad_tol=tol, max_iter=max_iter)
+def cmd_invert(A: StateSet, mean: str, tol: float | None = None, max_iter: int | None = None) -> CommandResult:
+    """Solve for the beta whose Gibbs mean equals the requested vector.
+
+    A `tol` or `max_iter` left at None takes its `SolveOptions` default.
+    """
+    from .moment_solver import SolveOptions, invert_mean_energy
+
+    given = {"grad_tol": tol, "max_iter": max_iter}
+    opts = SolveOptions(**{k: v for k, v in given.items() if v is not None})
     report = invert_mean_energy(A, _parse_vector(mean, "mean"), opts)
     return _result(
         {
@@ -183,8 +189,12 @@ def cmd_sweep(
     A: StateSet, axis: int, start: float, stop: float, steps: int, fixed: str | None = None
 ) -> CommandResult:
     """CSV table of mean energy, entropy, and log Z along one beta axis."""
+    from .gibbs import gibbs_summary
+
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"steps must be at most {_MAX_STEPS}, got {steps}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError("sweep range must be finite")
     if not 0 <= axis < A.dim:
@@ -213,6 +223,8 @@ def cmd_sweep(
 @_command
 def cmd_hull(A: StateSet) -> CommandResult:
     """Vertices, facet halfspaces, and span equations of the hull."""
+    from .polytope import convex_hull
+
     hull = convex_hull(A)
     return _result(
         {
@@ -231,6 +243,8 @@ def _halfspaces(rows: np.ndarray) -> list[dict]:
 @_command
 def cmd_limit(A: StateSet, direction: str) -> CommandResult:
     """Low-temperature limit of the mean energy along a direction."""
+    from .polytope import _limit_face
+
     face = _limit_face(A, _parse_vector(direction, "direction"))
     return _result({"face": face.indices, "value": face.value, "limit": face.barycenter})
 
@@ -238,8 +252,13 @@ def cmd_limit(A: StateSet, direction: str) -> CommandResult:
 @_command
 def cmd_microstates(A: StateSet, total: int, seed: int, beta: str | None = None) -> CommandResult:
     """Sample occupation counts from the Gibbs distribution at beta."""
+    from .gibbs import entropy, gibbs_distribution
+    from .microstates import GENERATOR_NAME, log_equilibrium_count, log_multinomial_measure, sample_counts
+
     b = _parse_vector(beta, "beta") if beta else [0.0] * A.dim
     p = gibbs_distribution(A, b)
+    if total > _MAX_TOTAL:
+        raise InvalidTotal(f"the CLI samples at most {_MAX_TOTAL} particles, got {total}")
     counts = sample_counts(p, total, seed)
     measure = log_multinomial_measure(p, counts)
     eq_count = log_equilibrium_count(p, total)
@@ -261,6 +280,8 @@ def cmd_microstates(A: StateSet, total: int, seed: int, beta: str | None = None)
 @_command
 def cmd_toric(A: StateSet, beta: str) -> CommandResult:
     """Positive point at beta and its projective moment image."""
+    from .toric import moment_of_beta, positive_point
+
     b = _parse_vector(beta, "beta")
     w = positive_point(A, b)
     return _result({"positive_point": w.weights, "moment": moment_of_beta(A, b)})
@@ -273,8 +294,13 @@ def cmd_check(A: StateSet, points: int = 100) -> CommandResult:
     Exits 0 when the largest residual and round-trip error stay below their
     tolerances (1e-10 and 1e-8), 1 otherwise.
     """
+    from .duality import legendre_residual, legendre_roundtrip
+    from .gibbs import mean_energy
+
     if points < 1:
         raise ValueError("check needs at least one grid point")
+    if points > _MAX_POINTS:
+        raise ValueError(f"check takes at most {_MAX_POINTS} grid points, got {points}")
     rng = np.random.Generator(np.random.Philox(key=_CHECK_GRID_KEY))
     betas = rng.uniform(-5.0, 5.0, size=(points, A.dim))
     max_residual = 0.0
@@ -314,8 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("invert", cmd_invert, "solve for the beta matching a mean energy")
     p.add_argument("--mean", required=True, help="target mean, comma-list")
-    p.add_argument("--tol", type=float, default=SolveOptions.grad_tol, help="gradient tolerance")
-    p.add_argument("--max-iter", type=int, default=SolveOptions.max_iter, help="iteration cap")
+    p.add_argument("--tol", type=float, help="gradient tolerance")
+    p.add_argument("--max-iter", type=int, help="iteration cap")
 
     p = add("sweep", cmd_sweep, "CSV sweep of mean energy and entropy along one beta axis")
     p.add_argument("--axis", type=int, default=0, help="beta axis to sweep")
@@ -370,4 +396,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Process entry (`python -m momentgibbs` and the console script): exit
+    with `main`'s code. The heap is frozen first, so the interpreter's final
+    collection skips every object alive at exit instead of traversing them."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)

@@ -3,9 +3,12 @@ import ast
 import inspect
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -481,6 +484,112 @@ def test_subprocess_exit_codes():
         ).returncode
         == 4
     )
+
+
+TWO = str(DATA_DIR / "two_state.json")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["forward", "N5000", "--beta", "0.3,-0.2"], 0),
+        (["forward", TWO, "--beta", "0,0"], 2),
+        (["invert", TWO, "--mean", "1.5"], 3),
+        (["invert", TWO, "--mean", "0.25", "--max-iter", "1"], 4),
+        (["forward", TWO], 2),  # argparse: --beta is required
+    ],
+)
+def test_process_exit_writes_what_main_writes(tmp_path, capsys, argv, code):
+    # `run` freezes the heap before the process exits; the bytes and the exit
+    # code must still be those of the in-process `main`
+    if "N5000" in argv:
+        rng = np.random.Generator(np.random.Philox(key=16))
+        big = tmp_path / "n5000.json"
+        big.write_text(json.dumps({"dim": 2, "points": rng.normal(size=(5000, 2)).tolist()}))
+        argv = [str(big) if a == "N5000" else a for a in argv]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    inproc = capsys.readouterr()
+    # a block-buffered stdout, as in a plain pipe, must still be flushed at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    run = subprocess.run([sys.executable, "-m", "momentgibbs", *argv], capture_output=True, env=env)
+    assert got == run.returncode == code
+    assert run.stdout == inproc.out.encode()
+    assert run.stderr == inproc.err.encode()
+    assert len(run.stdout) >= 100_000 or code != 0
+
+
+def _refusal(argv, line):
+    return pytest.param([argv[0], TWO, *argv[1:]], line, id=f"{argv[0]}-{argv[-1]}")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        _refusal(["sweep", "--from", "0", "--to", "1", "--steps", "10001"], "ValueError: steps must be at most 10000, got 10001"),
+        _refusal(["sweep", "--from", "0", "--to", "1", "--steps", "1000000000000"], "ValueError: steps must be at most 10000, got 1000000000000"),
+        _refusal(["check", "--points", "1001"], "ValueError: check takes at most 1000 grid points, got 1001"),
+        _refusal(["check", "--points", "1000000000000"], "ValueError: check takes at most 1000 grid points, got 1000000000000"),
+        _refusal(["microstates", "--seed", "1", "--total", "100000001"], "InvalidTotal: the CLI samples at most 100000000 particles, got 100000001"),
+        _refusal(["microstates", "--seed", "1", "--total", "1099511627776"], "InvalidTotal: the CLI samples at most 100000000 particles, got 1099511627776"),
+    ],
+)
+def test_counts_past_their_bound_are_refused_before_any_work(capsys, argv, line):
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == line + "\n"
+    assert json.loads(out.out)["error"]["type"] == line.split(":")[0]
+    assert peak < 4 * 2**20  # a refused block of work would allocate at least 8 MiB
+
+
+def test_counts_at_their_bound_are_accepted(monkeypatch):
+    # the per-item kernels are stubbed: the bounds are under test, not the kernels
+    from momentgibbs import duality, gibbs, microstates
+
+    two = load_doc("two_state.json")
+    summary = types.SimpleNamespace(mean_energy=[0.5], entropy=0.5, log_z=0.5)
+    monkeypatch.setattr(gibbs, "gibbs_summary", lambda A, beta: summary)
+    res = cli.cmd_sweep(two, 0, 0.0, 1.0, 10_000)
+    assert res.exit_code == 0 and len(res.payload.splitlines()) == 1 + 10_000
+
+    monkeypatch.setattr(gibbs, "mean_energy", lambda A, beta: None)
+    monkeypatch.setattr(duality, "legendre_residual", lambda A, beta: 0.0)
+    monkeypatch.setattr(duality, "legendre_roundtrip", lambda A, target: 0.0)
+    assert payload(cli.cmd_check(two, 1_000))["grid_points"] == 1_000
+
+    def all_in_state_0(p, total, seed):
+        return microstates.MicrostateCounts([total, 0], total, seed, p.parent)
+
+    monkeypatch.setattr(microstates, "sample_counts", all_in_state_0)
+    assert payload(cli.cmd_microstates(two, 10**8, 1))["counts"] == [10**8, 0]
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (type("ArrayMemoryError", (MemoryError,), {})("Unable to allocate 7.28 TiB"), "MemoryError: Unable to allocate 7.28 TiB"),
+        (MemoryError(), "MemoryError: out of memory"),
+    ],
+)
+def test_memory_error_is_exit_2_with_one_line(monkeypatch, capsys, exc, line):
+    from momentgibbs import gibbs
+
+    def exhausted(A, beta):
+        raise exc
+
+    monkeypatch.setattr(gibbs, "gibbs_summary", exhausted)
+    assert cli.main(["forward", TWO, "--beta", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.err == line + "\n"
+    assert json.loads(out.out)["error"] == dict(zip(("type", "message"), line.split(": ")))
 
 
 @pytest.mark.parametrize(
