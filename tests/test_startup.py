@@ -93,7 +93,8 @@ _PROBES = {
 @pytest.fixture(scope="module")
 def probes() -> dict[str, list]:
     def run(code: str) -> list:
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
         return [json.loads(line) for line in done.stdout.splitlines()]
 
     with ThreadPoolExecutor(max_workers=3) as pool:
