@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSplit, NotNegativeDefinite
-from .gibbs import gibbs_summary, mean_energy
+from .gibbs import _scipy_kernel, gibbs_summary, mean_energy
 from .moment_solver import SolveOptions, invert_mean_energy
 from .state_space import StateSet, _float_array, _value_eq, covector_array, point_array
 
@@ -89,8 +89,6 @@ def quadratic_direct_image(f: QuadraticForm, kept: int) -> QuadraticForm:
     orthonormal change of basis aligning its fibers with the dropped
     coordinates; performing that change is the caller's job.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     n = f.dim
     if isinstance(kept, bool) or not isinstance(kept, (int, np.integer)) or not 1 <= kept < n:
         raise BadSplit(f"kept must be an integer in [1, {n - 1}], got {kept!r}")
@@ -98,9 +96,9 @@ def quadratic_direct_image(f: QuadraticForm, kept: int) -> QuadraticForm:
     lead = m[:kept, :kept]
     cross = m[:kept, kept:]
     trail = m[kept:, kept:]
-    try:
-        factor = cho_factor(trail, lower=True)
-    except np.linalg.LinAlgError:
-        raise NotNegativeDefinite("trailing block is not positive definite") from None
-    schur = lead - cross @ cho_solve(factor, cross.T)
+    # dpotrf and dpotrs in one call, as cho_factor and cho_solve run them
+    _, solved, info = _scipy_kernel("dposv")(trail, cross.T, lower=1)
+    if info > 0:
+        raise NotNegativeDefinite("trailing block is not positive definite")
+    schur = lead - cross @ solved
     return QuadraticForm((schur + schur.T) / 2.0)

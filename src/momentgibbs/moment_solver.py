@@ -11,10 +11,10 @@ behind scipy's cho_factor/cho_solve), so steps keep the wrappers' bits at a
 fraction of their per-call cost. When the factorization fails, the step
 retries with a ridge r * I: r starts at 1e-12 times the mean Hessian diagonal
 and grows tenfold per retry, 40 attempts in all.
-Newton runs in the state set's frame (points and target scaled by 2^-k, in
-orthonormal span coordinates when the set is degenerate, where the Hessian is
-positive definite), so a set and its 2^j multiple take the same steps. Beta
-is scaled back and lifted with zero component along the span's annihilator.
+Newton runs in the state set's frame (points and target less the first point,
+scaled by 2^-k, in span coordinates, where the Hessian is positive definite),
+so a set, its 2^j multiple and its exact translates take the same steps. Beta
+is scaled back and lifted by the span, with zero component along its annihilator.
 Every solve starts at beta = 0, whose uniform weights depend on the set alone:
 the first solve on a set memoizes that state on it, and every solve reads it.
 The report keeps the solution's Gibbs weights and computes the entropy from
@@ -44,7 +44,6 @@ _ARMIJO_SLACK = 32.0 * sys.float_info.epsilon  # float64 eps, np.finfo(float).ep
 _MIN_STEP = 1e-14
 _SHRINK = 0.5  # backtracking factor of the line search
 _RIDGE_FLOOR = 1e-12  # first ridge, relative to the mean Hessian eigenvalue
-_dposv = None  # LAPACK's dposv, bound by the first Newton step
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
     p.setflags(write=False)
     beta = np.ldexp(beta, -A._exp)
     report = SolveReport(
-        beta=CoVector(A._span @ beta if reduced else beta),
+        beta=CoVector(A._span @ beta),
         iterations=iterations,
         grad_norm=grad_norm,
         converged=converged,
@@ -214,17 +213,14 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     routine. Their checks stay: a non-finite input raises ValueError (the gradient only once
     a factor exists), as does an illegal-argument code. The factor needs no check: each
     entry below the diagonal enters the pivot of its row, so with info 0 all are finite.
-    dposv is bound from scipy.linalg.lapack's compiled module, with no scipy package.
+    dposv is `_scipy_kernel`'s, from scipy.linalg's compiled module with no scipy package.
     """
-    global _dposv
-    if _dposv is None:
-        _dposv = _scipy_kernel("dposv")
-
+    dposv = _scipy_kernel("dposv")
     a = hess
     reg = 0.0
     for _ in range(40):
         _check_finite(a)
-        _, step, info = _dposv(a, grad, lower=1)
+        _, step, info = dposv(a, grad, lower=1)
         if info == 0:
             _check_finite(grad)
             return step

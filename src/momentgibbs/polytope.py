@@ -1,11 +1,11 @@
 """Convex-hull geometry of the energy points and low-temperature limits.
 
-The hull is computed in the affine span of the points: full-dimensional sets
-are handled directly, degenerate sets are first mapped to orthonormal span
-coordinates and the span itself is reported as equality constraints. Every
-halfspace or equation is one row (normal, offset) of a float64 array with n+1
-columns: facet rows read (normal, x) >= offset and hold on the whole hull with
-equality on the facet; span rows read (normal, x) = offset.
+The hull is computed in the state set's frame: every set is centered at its
+first point, in span coordinates (orthonormal ones for a degenerate set, whose
+span is reported as equality constraints). Every halfspace or equation is one
+row (normal, offset) of a float64 array with n+1 columns: facet rows read
+(normal, x) >= offset and hold on the whole hull with equality on the facet;
+span rows read (normal, x) = offset.
 """
 
 from __future__ import annotations
@@ -104,15 +104,16 @@ def _enumerate_hull(A: StateSet) -> Polytope:
     elif d == 1:
         vertices, normals, offsets = _hull_interval(A._coords[:, 0])
     elif d == 2:
-        vertices, normals, offsets = _hull_planar(A._coords, A._exp, A.is_lattice and d == A.dim)
+        lattice = A.is_lattice and d == A.dim
+        vertices, normals, offsets = _hull_planar(A._coords, A._exp, A._origin if lattice else None)
     else:
         vertices, normals, offsets = _hull_qhull(A._coords)
-    offsets = np.ldexp(offsets, A._exp)  # enumerated in the set's unit 2^k
-
-    if len(span_eqs):
-        # one product per facet: a batched product may sum in another order
-        normals = np.array([span @ n for n in normals]).reshape(-1, A.dim)
-        offsets = offsets + np.array([n @ origin for n in normals])
+    # enumerated in span coordinates about the first point, in the set's unit 2^k:
+    # stacked matrix-vector products, each with the bits of its own `span @ n` (a
+    # matrix-matrix product may sum in another order), and the first point's
+    # pairing added in the unit, where no sum overflows
+    normals = (span @ normals[:, :, None])[:, :, 0]
+    offsets = np.ldexp(offsets + (normals[:, None, :] @ A._origin[:, None])[:, 0, 0], A._exp)
     # +0.0 canonicalizes -0.0 normals; offsets keep their sign. Distinct facets
     # have distinct normals, so the normals alone order them (no offset overflows)
     rows = np.column_stack([normals + 0.0, offsets])
@@ -141,9 +142,10 @@ def _hull_interval(t: np.ndarray):
     return [imin, imax], np.array([[1.0], [-1.0]]), np.array([t[imin], -t[imax]])
 
 
-def _hull_planar(pts: np.ndarray, k: int, keep_integer: bool):
+def _hull_planar(pts: np.ndarray, k: int, lattice_origin: np.ndarray | None):
     """Monotone chain in the plane; returns CCW vertices and edge halfspaces
-    (a lattice set keeps integer normals, scaled back from the unit 2^k)."""
+    (a lattice set, given with its first point, keeps integer normals, scaled
+    back from the unit 2^k, while every offset about the origin is a double)."""
     scale = float(np.abs(pts).max())
     eps = 1e-9 * scale * scale  # cross products scale quadratically
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
@@ -165,7 +167,7 @@ def _hull_planar(pts: np.ndarray, k: int, keep_integer: bool):
     ring = lower[:-1] + upper[:-1]  # counter-clockwise
 
     # integer offsets grow as the scale squared: past 2^1024, unit normals take over
-    for integer in (keep_integer, False):
+    for integer in (lattice_origin is not None, False):
         normals, offsets = [], []
         for a, b in zip(ring, ring[1:] + ring[:1]):
             edge = pts[b] - pts[a]
@@ -173,7 +175,9 @@ def _hull_planar(pts: np.ndarray, k: int, keep_integer: bool):
             normal = np.ldexp(normal, k) if integer else normal / np.linalg.norm(normal)
             normals.append(normal)
             offsets.append(float(normal @ pts[a]))
-        if not integer or math.frexp(max(map(abs, offsets)))[1] + k <= 1024:
+        # `_enumerate_hull` adds the origin's pairing to each offset, as here
+        top = integer and max(abs(o + n @ lattice_origin) for n, o in zip(normals, offsets))
+        if not integer or math.frexp(top)[1] + k <= 1024:
             return ring, np.array(normals), np.array(offsets)
 
 
@@ -184,7 +188,7 @@ def _hull_qhull(pts: np.ndarray):
     hull = ConvexHull(pts)
     # inside the hull: equations[:, :-1] @ x + equations[:, -1] <= 0
     rows = np.column_stack([-hull.equations[:, :-1], hull.equations[:, -1]])
-    # unit normals as they are, offsets in units of the largest coordinate
+    # unit normals as they are, offsets in units of the largest centered coordinate
     key = rows / np.append(np.ones(pts.shape[1]), np.abs(pts).max())
     # cheap bulk collapse by rounding, then a tolerance pass for rows that
     # straddle a rounding boundary

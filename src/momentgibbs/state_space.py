@@ -93,13 +93,15 @@ class StateSet:
 
     The points are converted in one call and checked in bulk (an (N, dim)
     float array, all finite, all distinct); the first bad row or pair is named
-    only on failure. Construction picks the set's frame, the unit 2^k with k
-    the binary exponent of the largest |coordinate|, and does one thin SVD of
-    the 2^-k-scaled centered points. `affine_dim` and the frame `affine_frame`
-    returns are read from it; the (n, d) span matrix, the first point in the
-    unit and the solver's coordinates (`_frame_coords` of the points) are cached
-    read-only. `is_lattice` records whether every input coordinate was an
-    integer. Points are stored as float64 exactly as given.
+    only on failure. Construction picks the set's frame, the first point as
+    origin and the unit 2^k with k the binary exponent of the largest
+    |coordinate|, and does one thin SVD of the points less the origin in that
+    unit. `affine_dim` and the frame `affine_frame` returns are read from it;
+    the (n, d) span matrix (the identity at full dimension, so lattice points
+    keep integer coordinates), the origin in the unit and the solver's
+    coordinates (`_frame_coords` of the points) are cached read-only.
+    `is_lattice` records whether every input coordinate was an integer. Points
+    are stored as float64 exactly as given.
     """
 
     dim: int
@@ -148,7 +150,8 @@ class StateSet:
         object.__setattr__(self, "_exp", k)
         object.__setattr__(self, "_vh", vh)
         object.__setattr__(self, "affine_dim", int(np.sum(s > RANK_TOL * s[0])))
-        object.__setattr__(self, "_span", vh[: self.affine_dim].T.copy())
+        d = self.affine_dim
+        object.__setattr__(self, "_span", vh[:d].T.copy() if d < self.dim else np.eye(d))
         object.__setattr__(self, "_origin", unit[0].copy())
         object.__setattr__(self, "_coords", _frame_coords(self, pts))
         for arr in (vh, self._span, self._origin, self._coords):
@@ -235,21 +238,18 @@ def affine_dim(A: StateSet) -> int:
 def affine_frame(A: StateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal frame of the affine span.
 
-    Returns (origin, span, complement): `origin` is the first point, `span`
-    is n x d with columns spanning the centered point directions, and
-    `complement` is n x (n-d) with columns spanning the annihilator, each a
-    fresh C-ordered copy. The frame is read from the SVD computed at
-    construction, the same factorization `affine_dim` counts.
+    Returns (origin, span, complement): `origin` is the first point, `span` is
+    n x d with columns spanning the centered point directions (the identity
+    when d = n), and `complement` is n x (n-d) with columns spanning the
+    annihilator, each a fresh C-ordered copy. The frame is read from the SVD
+    computed at construction, the same factorization `affine_dim` counts.
     """
     return A.points[0].copy(), A._span.copy(), A._vh[A.affine_dim :].T.copy()
 
 
 def _frame_coords(A: StateSet, x: np.ndarray) -> np.ndarray:
-    """Points (rows) or a point scaled by 2^-k; centered span coordinates if reduced."""
-    unit = np.ldexp(x, -A._exp)
-    if A.affine_dim == A.dim:
-        return unit
-    return (unit - A._origin) @ A._span
+    """Span coordinates of points (rows) or a point about the first point, in the unit 2^k."""
+    return (np.ldexp(x, -A._exp) - A._origin) @ A._span
 
 
 def covector_array(beta, dim: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AllZeroWeights, LengthMismatch
 from .gibbs import _log_weights
-from .state_space import StateSet, _float_array, _value_eq, covector_array
+from .state_space import StateSet, _float_array, _value_eq
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,10 @@ def projective_moment(A: StateSet, w: WeightVector) -> np.ndarray:
 def moment_of_beta(A: StateSet, beta) -> np.ndarray:
     """Moment image of the positive point at beta.
 
-    The squared magnitudes double the exponent, so this equals
-    mean_energy(A, 2*beta) up to rounding; the squaring happens in log space
-    to keep the overflow guarantee.
+    The squared magnitudes double the exponent, so this equals mean_energy(A, 2*beta)
+    up to rounding; the squaring doubles beta's max-shifted log-weights, not beta.
     """
-    return projective_moment(A, positive_point(A, 2.0 * covector_array(beta, A.dim)))
+    log_w = _log_weights(A, beta)
+    with np.errstate(over="ignore"):  # a square below the float range is a zero weight
+        w = np.exp(2.0 * (log_w - log_w.max()))
+    return projective_moment(A, WeightVector(w))

@@ -267,7 +267,7 @@ def reference_invert(A, target, opts=None):
 
     beta = np.ldexp(beta, -A._exp)
     report = ReferenceReport(
-        beta=mg.CoVector(affine_frame(A)[1] @ beta if reduced else beta),
+        beta=mg.CoVector(affine_frame(A)[1] @ beta),
         iterations=iterations,
         grad_norm=grad_norm,
         entropy=float(-xlogy(p, p).sum() + 0.0),

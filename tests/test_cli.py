@@ -243,6 +243,11 @@ _EDGE_DOCS = {
         (["forward", "--beta", "1e-200"], 2, "ValueError"),
     ]),
     "pair_1e200": ([[1e200], [2e200]], [(["invert", "--mean", "1.5e200"], 0, None)]),
+    # the 8x8 grid moved by 1e5: its center once fell outside a 2-vertex hull
+    "grid_1e5": ([[1e5 + i, 1e5 + j] for i in range(8) for j in range(8)], [
+        (["hull"], 0, None),
+        (["invert", "--mean", "100003.5,100002"], 0, None),
+    ]),
     # a target so far off the span that its margin is not a double: reported
     # without a margin, as exit 2
     "diagonal": ([[0, 0], [1, 1]], [
@@ -345,6 +350,17 @@ def test_limit_command():
             3,
             {"error": {"type": "TargetOutsideHull", "message": "target outside hull (margin -5e+199)",
                        "margin": -5e199}},
+        ),
+        # the same square far from the origin: its edge offsets about its first
+        # point are doubles, its offsets about the origin are not
+        (
+            [[a, b] for a in (1e160, 1e160 + 1e150) for b in (1e160, 1e160 + 1e150)],
+            ["hull"],
+            0,
+            {"vertices": [0, 1, 2, 3], "facets": [
+                {"normal": [-1, 0], "offset": -(1e160 + 1e150)},
+                {"normal": [0, -1], "offset": -(1e160 + 1e150)},
+                {"normal": [0, 1], "offset": 1e160}, {"normal": [1, 0], "offset": 1e160}]},
         ),
         # pairings whose spread overflows: the tie tolerance must not
         ([[-1.7e308], [1.7e308]], ["limit", "--direction", "1"], 0,

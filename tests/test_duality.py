@@ -122,6 +122,32 @@ def test_direct_image_stays_negative_definite():
         assert np.all(np.linalg.eigvalsh(image.matrix) > 0)
 
 
+def test_direct_image_schur_matches_cho_factor_reference():
+    # the one dposv call keeps the bits of scipy's cho_factor and cho_solve
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.Generator(np.random.Philox(key=54))
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        root = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+        m = root @ root.T + 1e-3 * np.abs(root).max() ** 2 * np.eye(n)
+        m = (m + m.T) / 2.0
+        kept = int(rng.integers(1, n))
+        cross, trail = m[:kept, kept:], m[kept:, kept:]
+        schur = m[:kept, :kept] - cross @ cho_solve(cho_factor(trail, lower=True), cross.T)
+        want = (schur + schur.T) / 2.0
+        got = mg.quadratic_direct_image(mg.QuadraticForm(m), kept).matrix
+        assert got.tobytes() == want.tobytes()
+
+
+def test_direct_image_trailing_block_not_positive_definite():
+    # a form past its own check, as a caller could build it: dposv's info > 0
+    f = object.__new__(mg.QuadraticForm)
+    object.__setattr__(f, "matrix", np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
+    with pytest.raises(mg.NotNegativeDefinite, match="trailing block"):
+        mg.quadratic_direct_image(f, 1)
+
+
 def test_direct_image_base_change():
     # projecting out the last coordinate commutes with restricting to a
     # leading coordinate subspace

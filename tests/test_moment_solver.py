@@ -136,7 +136,6 @@ _IMPORT_ORDER_PROBE = """
 import numpy as np
 import momentgibbs as mg
 import momentgibbs.gibbs as g
-import momentgibbs.moment_solver as ms
 if SCIPY_FIRST:
     import scipy.linalg
     flapack = scipy.linalg._flapack
@@ -148,8 +147,8 @@ import scipy.linalg, scipy.special, scipy.spatial
 if SCIPY_FIRST:
     assert g._KERNELS["scipy.linalg._flapack"] is flapack
 special = g._KERNELS["scipy.special._special_ufuncs"]
-assert scipy.linalg.lapack.dposv is ms._dposv
-assert scipy.linalg._flapack.dposv is ms._dposv
+dposv = g._scipy_kernel("dposv")
+assert scipy.linalg.lapack.dposv is dposv and scipy.linalg._flapack.dposv is dposv
 assert special.xlogy is scipy.special.xlogy and special.gammaln is scipy.special.gammaln
 assert (scipy.linalg.cho_factor(4.0 * np.eye(2))[0] == 2.0 * np.eye(2)).all()
 assert abs(scipy.spatial.ConvexHull(np.r_[np.zeros((1, 3)), np.eye(3)]).volume - 1 / 6) < 1e-15

@@ -212,17 +212,17 @@ def _dense_merge_hull(A):
     """
     from scipy.spatial import ConvexHull
 
-    if A.affine_dim == A.dim:
-        origin, span, reduced = np.zeros(A.dim), None, A.points
-    else:
-        # the span frame from its own full SVD, independent of the StateSet
-        origin = A.points[0].copy()
+    # every set centered at its first point; the span is the identity at full
+    # dimension, else from its own full SVD, independent of the StateSet
+    origin = A.points[0].copy()
+    span = np.eye(A.dim)
+    if A.affine_dim < A.dim:
         _, _, vh = np.linalg.svd(A.points - origin, full_matrices=True)
         span = vh[: A.affine_dim].T.copy()
-        reduced = (A.points - origin) @ span
+    reduced = (A.points - origin) @ span
     hull = ConvexHull(reduced)
     rows = np.column_stack([-hull.equations[:, :-1], hull.equations[:, -1]])
-    # unit normals as they are, offsets in units of the largest coordinate
+    # unit normals as they are, offsets in units of the largest centered coordinate
     key = rows / np.append(np.ones(A.affine_dim), np.abs(reduced).max())
     _, first = np.unique(np.round(key, 9), axis=0, return_index=True)
     cand, cand_key = rows[np.sort(first)], key[np.sort(first)]
@@ -235,10 +235,8 @@ def _dense_merge_hull(A):
             dropped |= gaps[i] <= 1e-7
     facets = []
     for i in keep:
-        normal, offset = cand[i, :-1], float(cand[i, -1])
-        if span is not None:
-            normal = span @ normal
-            offset = offset + float(normal @ origin)
+        normal = span @ cand[i, :-1]
+        offset = float(cand[i, -1]) + float(normal @ origin)
         facets.append((np.array(normal, dtype=float) + 0.0, float(offset)))
     facets.sort(key=lambda f: tuple(np.round(np.append(f[0], f[1]), 12)))
     verts = tuple(sorted(int(v) for v in hull.vertices))

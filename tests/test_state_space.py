@@ -129,13 +129,15 @@ def test_affine_dim_permutation_invariance(order):
 def _reference_frame(pts):
     """Rank from a values-only SVD and frame from a full_matrices=True SVD of
     the centered points in the set's unit 2^k, each factorization computed on
-    its own; the rank test is relative to the largest singular value."""
+    its own; the rank test is relative to the largest singular value. At full
+    dimension the span is the identity, so the frame only centers and scales."""
     k = math.frexp(float(np.abs(pts).max()))[1]
     diffs = np.ldexp(pts, -k) - np.ldexp(pts[0], -k)
     s = np.linalg.svd(diffs, compute_uv=False)
     d = int(np.sum(s > RANK_TOL * s[0]))
     _, _, vh = np.linalg.svd(diffs, full_matrices=True)
-    return d, (pts[0].copy(), vh[:d].T.copy(), vh[d:].T.copy())
+    span = vh[:d].T.copy() if d < pts.shape[1] else np.eye(d)
+    return d, (pts[0].copy(), span, vh[d:].T.copy())
 
 
 def _frame_reference_sets():

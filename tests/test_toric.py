@@ -60,6 +60,18 @@ def test_moment_of_beta_values(two_state, square):
     assert errs[-1] <= 1e-8
 
 
+def test_moment_of_beta_squares_in_log_space(square):
+    # 2 * beta overflows where the pairings do not: the squares vanish, not beta
+    assert mg.moment_of_beta(square, [1e308, 0.0]).tolist() == [0.0, 0.5]
+    assert mg.moment_of_beta(square, [-1e308, 1e308]).tolist() == [1.0, 0.0]
+    # where 2 * beta is finite: the bits of the positive point at 2 * beta
+    rng = np.random.Generator(np.random.Philox(key=74))
+    for _ in range(200):
+        beta = rng.normal(size=2) * 10.0 ** rng.integers(-3, 4)
+        want = mg.projective_moment(square, mg.positive_point(square, 2.0 * beta))
+        assert mg.moment_of_beta(square, beta).tobytes() == want.tobytes()
+
+
 def test_factor_of_two_identity():
     rng = np.random.Generator(np.random.Philox(key=72))
     done = 0
