@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSplit, NotNegativeDefinite
-from .gibbs import _scipy_kernel, gibbs_summary, mean_energy
+from .gibbs import _entropy, _log_weights, _normalized, _scipy_kernel, mean_energy
 from .moment_solver import SolveOptions, invert_mean_energy
 from .state_space import StateSet, _float_array, _value_eq, covector_array, point_array
 
@@ -58,14 +58,15 @@ class QuadraticForm:
 
 
 def legendre_residual(A: StateSet, beta) -> float:
-    """S(p(beta)) - (beta, mean) - log Z(beta); zero in exact arithmetic.
-
-    Stays below 1e-10 in magnitude for desk-scale point sets with
-    ||beta|| <= 20.
-    """
+    """S(p(beta)) - (beta, mean) - log Z(beta); zero in exact arithmetic. Taken
+    in the set's frame, where the (beta, x_0) in both terms cancels exactly, so
+    a translate gives the same residual; below 1e-10 in magnitude for
+    desk-scale point sets with ||beta|| <= 20."""
     b = covector_array(beta, A.dim)
-    s = gibbs_summary(A, b)
-    return s.entropy - float(b @ s.mean_energy) - s.log_z
+    log_w, _, a = _log_weights(A, b)
+    log_z, p = _normalized(log_w)
+    pair = (b @ A._span) @ (p @ A._coords - A._coords[a])  # (beta, mean - x_a) in the unit
+    return _entropy(p) - float(np.ldexp(pair, A._exp)) - log_z
 
 
 def legendre_roundtrip(A: StateSet, target, opts: SolveOptions | None = None) -> float:

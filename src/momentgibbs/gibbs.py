@@ -1,8 +1,8 @@
 """Forward thermodynamics: partition function, Gibbs weights, moments, entropy.
 
-All log-domain sums use the max-shift (log-sum-exp) form, so every operation
-stays finite for any finite inverse temperature, including the deep
-low-temperature regime where naive exponentials overflow.
+Log-weights are formed in the state set's frame, relative to its first point,
+and summed in max-shift (log-sum-exp) form: finite for any finite beta, the
+same for a translated set; only log Z carries the shift -(beta, x_0).
 
 The entropy's ``xlogy`` loads on its first use from scipy's compiled module,
 with no scipy package (`_scipy_kernel`): callers that never need it load none.
@@ -74,9 +74,14 @@ class GibbsSummary:
         return _covariance(p.parent.points, p.probs, self.mean_energy)
 
 
-def _log_weights(A: StateSet, beta) -> np.ndarray:
+def _log_weights(A: StateSet, beta) -> tuple[np.ndarray, float, int]:
+    """The log-weights -(beta, x - x_a) in the set's frame, the shift -(beta, x_a) that
+    every state shares (log Z is their log-sum plus it) and the anchor a: the first
+    state, or the heaviest when a weight relative to it is beyond the double range."""
     b = covector_array(beta, A.dim)
-    return -(A.points @ b)
+    u = A._coords @ -(b @ A._span)  # scaled by 2^k after the product: beta scaled first can overflow
+    a = 0 if np.ldexp(u.max(), A._exp - 1024) < 1 else int(np.argmax(u))
+    return np.ldexp(u - u[a], A._exp), -float(b @ A.points[a]), a
 
 
 def _normalized(log_w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -120,13 +125,13 @@ def _entropy(p: np.ndarray) -> float:
 
 def log_partition(A: StateSet, beta) -> float:
     """log of the Boltzmann sum over states, sum_w exp(-(beta, w))."""
-    log_z, _ = _normalized(_log_weights(A, beta))
-    return log_z
+    log_w, shift, _ = _log_weights(A, beta)
+    return _normalized(log_w)[0] + shift
 
 
 def gibbs_distribution(A: StateSet, beta) -> Distribution:
     """Probabilities proportional to exp(-(beta, w)); all strictly positive."""
-    _, p = _normalized(_log_weights(A, beta))
+    _, p = _normalized(_log_weights(A, beta)[0])
     return Distribution(p, A)
 
 
@@ -140,7 +145,7 @@ def mean_observable(p: Distribution, obs: Observable) -> float:
 def mean_energy(A: StateSet, beta) -> np.ndarray:
     """Mean of the energy points; equals minus the gradient of
     `log_partition` in beta, and always lies strictly inside the hull."""
-    _, p = _normalized(_log_weights(A, beta))
+    _, p = _normalized(_log_weights(A, beta)[0])
     return p @ A.points
 
 
@@ -151,7 +156,7 @@ def energy_covariance(A: StateSet, beta) -> np.ndarray:
     points affinely span R^dim. This is also the Hessian of `log_partition`
     and minus the Jacobian of `mean_energy`.
     """
-    _, p = _normalized(_log_weights(A, beta))
+    _, p = _normalized(_log_weights(A, beta)[0])
     return _covariance(A.points, p, p @ A.points)
 
 
@@ -163,5 +168,6 @@ def entropy(p: Distribution) -> float:
 def gibbs_summary(A: StateSet, beta) -> GibbsSummary:
     """All forward quantities from a single pass over the states; the
     covariance is computed from the summary's weights on each read."""
-    log_z, probs = _normalized(_log_weights(A, beta))
-    return GibbsSummary(log_z, Distribution(probs, A), probs @ A.points, _entropy(probs))
+    log_w, shift, _ = _log_weights(A, beta)
+    log_z, probs = _normalized(log_w)
+    return GibbsSummary(log_z + shift, Distribution(probs, A), probs @ A.points, _entropy(probs))

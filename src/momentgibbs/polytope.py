@@ -145,7 +145,7 @@ def _hull_interval(t: np.ndarray):
 def _hull_planar(pts: np.ndarray, k: int, lattice_origin: np.ndarray | None):
     """Monotone chain in the plane; returns CCW vertices and edge halfspaces
     (a lattice set, given with its first point, keeps integer normals, scaled
-    back from the unit 2^k, while every offset about the origin is a double)."""
+    back from the unit 2^k, while every normal and offset about the origin is a double)."""
     scale = float(np.abs(pts).max())
     eps = 1e-9 * scale * scale  # cross products scale quadratically
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
@@ -169,15 +169,16 @@ def _hull_planar(pts: np.ndarray, k: int, lattice_origin: np.ndarray | None):
     # integer offsets grow as the scale squared: past 2^1024, unit normals take over
     for integer in (lattice_origin is not None, False):
         normals, offsets = [], []
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            edge = pts[b] - pts[a]
-            normal = np.array([-edge[1], edge[0]])  # interior is left of a->b
-            normal = np.ldexp(normal, k) if integer else normal / np.linalg.norm(normal)
-            normals.append(normal)
-            offsets.append(float(normal @ pts[a]))
-        # `_enumerate_hull` adds the origin's pairing to each offset, as here
-        top = integer and max(abs(o + n @ lattice_origin) for n, o in zip(normals, offsets))
-        if not integer or math.frexp(top)[1] + k <= 1024:
+        with np.errstate(over="ignore", invalid="ignore"):  # a lattice pass past 2^1024 fails below
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                edge = pts[b] - pts[a]
+                normal = np.array([-edge[1], edge[0]])  # interior is left of a->b
+                normal = np.ldexp(normal, k) if integer else normal / np.linalg.norm(normal)
+                normals.append(normal)
+                offsets.append(float(normal @ pts[a]))
+            # `_enumerate_hull` scales each offset plus the origin's pairing by 2^k, as here
+            tops = integer and np.ldexp(np.add(offsets, np.array(normals) @ lattice_origin), k)
+        if not integer or np.isfinite(tops).all():
             return ring, np.array(normals), np.array(offsets)
 
 

@@ -110,13 +110,14 @@ def test_sweep_square_product_structure():
 
 
 def test_sweep_error_in_the_loop_exits_2():
-    # building the set succeeds; the Gibbs weights at beta = 1e200 do not
+    # building the set and the weights succeeds; log Z at beta = 1e200, about
+    # -1e400, is not a double
     doc = {"dim": 1, "points": [[1e200], [2e200]]}
     res = cli.cmd_sweep(doc, 0, 1e200, 2e200, 2)
     assert res.exit_code == 2
     err = json.loads(res.payload)["error"]
-    assert err == {"type": "ValueError", "message": "probabilities must be finite and non-negative"}
-    assert res.diagnostics == ("ValueError: probabilities must be finite and non-negative",)
+    assert err == {"type": "ValueError", "message": "a result is -inf, which is not a finite double"}
+    assert res.diagnostics == ("ValueError: a result is -inf, which is not a finite double",)
     assert cli.cmd_forward(doc, "1e200").exit_code == 2
 
 
@@ -228,6 +229,17 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _forward_runs(beta):
+    """The commands that read the Gibbs weights, each expected to exit 0."""
+    return [
+        (["forward", f"--beta={beta}"], 0, None),
+        (["sweep", "--from=-3", "--to=3", "--steps=7"], 0, None),
+        (["microstates", "--total=50", "--seed=3", f"--beta={beta}"], 0, None),
+        (["toric", f"--beta={beta}"], 0, None),
+        (["check"], 0, None),
+    ]
+
+
 # edge documents, each with the argvs run on it and, where the outcome is the
 # point, its exit code and error type
 _EDGE_DOCS = {
@@ -241,6 +253,10 @@ _EDGE_DOCS = {
         (["invert", "--mean", "0"], 0, None),
         (["hull"], 0, None),
         (["forward", "--beta", "1e-200"], 2, "ValueError"),
+        # at beta = -1 the second state's weight relative to the first is e^3.4e308
+        (["toric", "--beta=-1"], 0, None),
+        (["microstates", "--total=5", "--seed=1", "--beta=-1"], 0, None),
+        (["sweep", "--from=-1", "--to=1", "--steps=3"], 0, None),
     ]),
     "pair_1e200": ([[1e200], [2e200]], [(["invert", "--mean", "1.5e200"], 0, None)]),
     # the 8x8 grid moved by 1e5: its center once fell outside a 2-vertex hull
@@ -248,6 +264,11 @@ _EDGE_DOCS = {
         (["hull"], 0, None),
         (["invert", "--mean", "100003.5,100002"], 0, None),
     ]),
+    # sets far from the origin: Gibbs weights formed in caller units once
+    # summed to 1 + 1e-11 there, and every forward command exited 2
+    "far_1d": ([[-300000], [-299999], [-299996]], _forward_runs("0.5")),
+    "square_1e5": ([[1e5 + a, 1e5 + b] for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))], _forward_runs("0.5,-1")),
+    "two_state_1e5": ([[1e5], [1e5 + 1]], _forward_runs("0.5")),
     # a target so far off the span that its margin is not a double: reported
     # without a margin, as exit 2
     "diagonal": ([[0, 0], [1, 1]], [
@@ -362,6 +383,8 @@ def test_limit_command():
                 {"normal": [0, -1], "offset": -(1e160 + 1e150)},
                 {"normal": [0, 1], "offset": 1e160}, {"normal": [1, 0], "offset": 1e160}]},
         ),
+        # a planar lattice set whose integer edge normals would overflow
+        ([[-1.7e308, 0], [1.7e308, 0], [0, 1.7e308]], ["hull"], 0, {"vertices": [0, 1, 2]}),
         # pairings whose spread overflows: the tie tolerance must not
         ([[-1.7e308], [1.7e308]], ["limit", "--direction", "1"], 0,
          {"face": [0], "value": -1.7e308, "limit": [-1.7e308]}),

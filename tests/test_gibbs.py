@@ -206,6 +206,17 @@ def test_overflow_robustness_huge_beta():
     assert np.all(np.isfinite(s.mean_energy)) and math.isfinite(s.log_z)
 
 
+def test_weights_beyond_the_double_range_relative_to_the_first_state():
+    # at beta = -1 the second state outweighs the first by e^3.4e308: the
+    # log-weights are taken relative to it, and log Z is its -(beta, x)
+    A = mg.new_state_set(1, [[-1.7e308], [1.7e308]])
+    with np.errstate(over="ignore"):  # the first state's weight is e^-3.4e308
+        s = mg.gibbs_summary(A, [-1.0])
+        assert mg.legendre_residual(A, [-1.0]) == 0.0
+    assert s.distribution.probs.tolist() == [0.0, 1.0] and s.log_z == 1.7e308
+    assert s.mean_energy.tolist() == [1.7e308] and s.entropy == 0.0
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.lists(st.integers(min_value=-10, max_value=10), min_size=2, max_size=8, unique=True),

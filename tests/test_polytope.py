@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -410,6 +411,19 @@ def test_margin_matches_lp_classification():
                 mine = "exterior"
             assert mine == lp_class == expected
         checked += 1
+
+
+def test_planar_lattice_normals_beyond_the_float_range_fall_back_to_unit_normals():
+    # the integer edge normals, 2^1024 times the edges in the unit, are not doubles
+    A = mg.new_state_set(2, [[-1.7e308, 0], [1.7e308, 0], [0, 1.7e308]])
+    assert A.is_lattice and A._exp == 1024
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Q = mg.convex_hull(A)
+    assert Q.vertices == (0, 1, 2) and len(Q.facets) == 3
+    assert np.all(np.isfinite(Q.facets))
+    assert np.allclose(np.linalg.norm(Q.facets[:, :-1], axis=1), 1.0, rtol=1e-15)
+    assert mg.interior_margin(Q, [0.0, 1e307]) > 0 > mg.interior_margin(Q, [0.0, -1e307])
 
 
 def test_min_face_square(square):

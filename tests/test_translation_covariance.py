@@ -9,10 +9,14 @@ dimension, the vertices, the facet normals and the iterations keep every bit,
 and a hull offset moves by (normal, c), exactly where the normal is integer.
 A target that moves exactly gives the same beta bits. A target t + c that
 rounds carries an error of up to half an ulp of c, and beta moves by no more
-than that error through the inverse covariance.
+than that error through the inverse covariance. The Gibbs log-weights are
+formed in the same frame, so the probabilities, the entropy and the Legendre
+residual keep every bit too, and only log Z moves, by -(beta, c) plus the
+rounding of the shift -(beta, x_0 + c) that every state shares.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 
@@ -111,6 +115,36 @@ def test_rounded_targets_move_beta_within_first_order_bound():
             worst[s] = max(worst[s], gap / np.abs(want.beta.components).max())
     # the relative gaps follow ulp(c): under 1e-9 up to 1e6, under 1e-2 at 2^40
     assert max(worst[s] for s in SHIFTS[:3]) < 1e-9 and worst[2**40] < 1e-2
+
+
+def test_gibbs_weights_keep_their_bits_and_log_z_moves_by_the_shift():
+    # log Z(A) = L + s_A and log Z(A + c) = L + s_B with the same log-sum L of
+    # the frame weights and the shifts s = -(beta, x_0) and -(beta, x_0 + c).
+    # A dot product of n terms rounds by at most n u sum |beta_i y_i| / (1 - n u)
+    # (u = 2^-53; the factor 1.01 covers the denominator), and each of the two
+    # sums L + s rounds once more, by u |log Z|.
+    u = 2.0**-53
+    checked = 0
+    for rng, pts in _integer_sets():
+        A = mg.new_state_set(pts.shape[1], pts)
+        b = rng.normal(size=A.dim)
+        want = mg.gibbs_summary(A, b)
+        residual = mg.legendre_residual(A, b)
+        for c, B in _translates(rng, pts):
+            got = mg.gibbs_summary(B, b)
+            assert got.distribution.probs.tobytes() == want.distribution.probs.tobytes()
+            assert got.entropy.hex() == want.entropy.hex()
+            assert mg.legendre_residual(B, b).hex() == residual.hex()
+            log_z = mg.log_partition(B, b)
+            assert log_z == got.log_z
+            # the exact (beta, c) in rationals, so the expectation adds no rounding
+            pair = sum(Fraction(x) * Fraction(y) for x, y in zip(b, c))
+            gap = abs(Fraction(log_z) - (Fraction(want.log_z) - pair))
+            shifts = np.abs(b) @ (np.abs(pts[0]) + np.abs(pts[0] + c))
+            bound = A.dim * u * shifts + u * (abs(log_z) + abs(want.log_z))
+            assert gap <= 1.01 * bound
+            checked += 1
+    assert checked == 24 * len(SHIFTS)
 
 
 def _grid_doc(offset):
