@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BadSplit, NotNegativeDefinite
 from .gibbs import _entropy, _log_weights, _normalized, _scipy_kernel, mean_energy
 from .moment_solver import SolveOptions, invert_mean_energy
-from .state_space import StateSet, _float_array, _value_eq, covector_array, point_array
+from .state_space import StateSet, _float_array, _value_eq, point_array
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,13 @@ class QuadraticForm:
 
 def legendre_residual(A: StateSet, beta) -> float:
     """S(p(beta)) - (beta, mean) - log Z(beta); zero in exact arithmetic. Taken
-    in the set's frame, where the (beta, x_0) in both terms cancels exactly, so
-    a translate gives the same residual; below 1e-10 in magnitude for
-    desk-scale point sets with ||beta|| <= 20."""
-    b = covector_array(beta, A.dim)
-    log_w, _, a = _log_weights(A, b)
+    about the heaviest state h, where the (beta, x_h) in both terms cancels
+    exactly, so a translate gives the same residual; (beta, mean - x_h) is minus
+    the mean log-weight (a weight of 0 may have log-weight -inf). Below 1e-10 in
+    magnitude for desk-scale point sets with ||beta|| <= 20."""
+    log_w, _ = _log_weights(A, beta)
     log_z, p = _normalized(log_w)
-    pair = (b @ A._span) @ (p @ A._coords - A._coords[a])  # (beta, mean - x_a) in the unit
-    return _entropy(p) - float(np.ldexp(pair, A._exp)) - log_z
+    return _entropy(p) + float(p @ np.where(p > 0, log_w, 0.0)) - log_z
 
 
 def legendre_roundtrip(A: StateSet, target, opts: SolveOptions | None = None) -> float:

@@ -1,8 +1,8 @@
 """Forward thermodynamics: partition function, Gibbs weights, moments, entropy.
 
-Log-weights are formed in the state set's frame, relative to its first point,
-and summed in max-shift (log-sum-exp) form: finite for any finite beta, the
-same for a translated set; only log Z carries the shift -(beta, x_0).
+Log-weights are formed in the state set's unit, about its heaviest state, and
+summed in log-sum-exp form: finite for any finite beta, the same for a
+translated set; only log Z carries the shift, the heaviest state's -(beta, x).
 
 The entropy's ``xlogy`` loads on its first use from scipy's compiled module,
 with no scipy package (`_scipy_kernel`): callers that never need it load none.
@@ -19,7 +19,7 @@ from importlib.util import module_from_spec
 import numpy as np
 
 from .errors import LengthMismatch
-from .state_space import Observable, StateSet, _float_array, _value_eq, covector_array
+from .state_space import Observable, StateSet, _float_array, _unit_covector, _value_eq, covector_array
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,18 @@ class GibbsSummary:
         return _covariance(p.parent.points, p.probs, self.mean_energy)
 
 
-def _log_weights(A: StateSet, beta) -> tuple[np.ndarray, float, int]:
-    """The log-weights -(beta, x - x_a) in the set's frame, the shift -(beta, x_a) that
-    every state shares (log Z is their log-sum plus it) and the anchor a: the first
-    state, or the heaviest when a weight relative to it is beyond the double range."""
+def _log_weights(A: StateSet, beta) -> tuple[np.ndarray, float]:
+    """The log-weights -(beta, x - x_h) about the heaviest state h, all <= 0, and the
+    shift -(beta, x_h) they share: log Z is their log-sum plus it. x - x_h is taken in
+    the unit 2^k and beta in its own 2^j, so a weight rounds with its distance to h
+    and nothing overflows before 2^(k + j). The same bits on an integer translate."""
     b = covector_array(beta, A.dim)
-    u = A._coords @ -(b @ A._span)  # scaled by 2^k after the product: beta scaled first can overflow
-    a = 0 if np.ldexp(u.max(), A._exp - 1024) < 1 else int(np.argmax(u))
-    return np.ldexp(u - u[a], A._exp), -float(b @ A.points[a]), a
+    b_unit, j = _unit_covector(b)
+    a = int(np.argmax(A._coords @ -(b_unit @ A._span)))  # heaviest up to the frame's rounding
+    r = -b_unit @ (A._unit_t - A._unit_t[:, a : a + 1])
+    h = int(np.argmax(r))
+    with np.errstate(over="ignore"):  # a weight below the float range: -inf, a zero weight
+        return np.ldexp(r - r[h], A._exp + j), -float(b @ A.points[h])
 
 
 def _normalized(log_w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -125,7 +129,7 @@ def _entropy(p: np.ndarray) -> float:
 
 def log_partition(A: StateSet, beta) -> float:
     """log of the Boltzmann sum over states, sum_w exp(-(beta, w))."""
-    log_w, shift, _ = _log_weights(A, beta)
+    log_w, shift = _log_weights(A, beta)
     return _normalized(log_w)[0] + shift
 
 
@@ -168,6 +172,6 @@ def entropy(p: Distribution) -> float:
 def gibbs_summary(A: StateSet, beta) -> GibbsSummary:
     """All forward quantities from a single pass over the states; the
     covariance is computed from the summary's weights on each read."""
-    log_w, shift, _ = _log_weights(A, beta)
+    log_w, shift = _log_weights(A, beta)
     log_z, probs = _normalized(log_w)
     return GibbsSummary(log_z + shift, Distribution(probs, A), probs @ A.points, _entropy(probs))

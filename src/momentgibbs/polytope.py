@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OffAffineSpan, UnsupportedDimension, ZeroDirection
-from .state_space import StateSet, affine_frame, covector_array, point_array
+from .state_space import StateSet, _unit_covector, affine_frame, covector_array, point_array
 
 MAX_HULL_DIM = 6
 
@@ -246,8 +246,7 @@ def min_face(A: StateSet, direction) -> FaceResult:
     if not np.all(np.isfinite(pairings)):
         # a pairing overflowed: in the set's unit 2^k and d's own power of two
         # the pairings are finite and exact multiples of the true ones
-        d_unit = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
-        pairings = np.ldexp(A.points, -A._exp) @ d_unit
+        pairings = np.ldexp(A.points, -A._exp) @ _unit_covector(d)[0]
     low, high = float(pairings.min()), float(pairings.max())
     tol = _TIE_REL * (high - low)
     if math.isinf(tol):  # the spread overflowed; halving is exact at this magnitude

@@ -98,8 +98,9 @@ class StateSet:
     |coordinate|, and does one thin SVD of the points less the origin in that
     unit. `affine_dim` and the frame `affine_frame` returns are read from it;
     the (n, d) span matrix (the identity at full dimension, so lattice points
-    keep integer coordinates), the origin in the unit and the solver's
-    coordinates (`_frame_coords` of the points) are cached read-only.
+    keep integer coordinates), the points (as columns) and the origin in the unit
+    and the solver's coordinates (`_frame_coords` of the points) are cached
+    read-only.
     `is_lattice` records whether every input coordinate was an integer. Points
     are stored as float64 exactly as given.
     """
@@ -109,10 +110,12 @@ class StateSet:
     labels: tuple[str, ...] | None = None
     affine_dim: int = field(init=False)
     is_lattice: bool = field(init=False)
-    # the frame: k, all n right singular vectors (see __post_init__), span, origin, coordinates
+    # the frame: k, all n right singular vectors (see __post_init__), span, the points in
+    # the unit as (n, N) rows (fast differences), origin, coordinates
     _exp: int = field(init=False, repr=False, compare=False)
     _vh: np.ndarray = field(init=False, repr=False, compare=False)
     _span: np.ndarray = field(init=False, repr=False, compare=False)
+    _unit_t: np.ndarray = field(init=False, repr=False, compare=False)
     _origin: np.ndarray = field(init=False, repr=False, compare=False)
     _coords: np.ndarray = field(init=False, repr=False, compare=False)
     # memos filled by `polytope.convex_hull` and `moment_solver.invert_mean_energy`
@@ -152,9 +155,10 @@ class StateSet:
         object.__setattr__(self, "affine_dim", int(np.sum(s > RANK_TOL * s[0])))
         d = self.affine_dim
         object.__setattr__(self, "_span", vh[:d].T.copy() if d < self.dim else np.eye(d))
+        object.__setattr__(self, "_unit_t", np.ascontiguousarray(unit.T))
         object.__setattr__(self, "_origin", unit[0].copy())
         object.__setattr__(self, "_coords", _frame_coords(self, pts))
-        for arr in (vh, self._span, self._origin, self._coords):
+        for arr in (vh, self._span, self._unit_t, self._origin, self._coords):
             arr.setflags(write=False)
         object.__setattr__(self, "is_lattice", bool(np.all(pts == np.rint(pts))))
 
@@ -250,6 +254,12 @@ def affine_frame(A: StateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _frame_coords(A: StateSet, x: np.ndarray) -> np.ndarray:
     """Span coordinates of points (rows) or a point about the first point, in the unit 2^k."""
     return (np.ldexp(x, -A._exp) - A._origin) @ A._span
+
+
+def _unit_covector(b: np.ndarray) -> tuple[np.ndarray, int]:
+    """b times 2^-j, its entries below 1 in magnitude, and j (exact down to 2^-1022)."""
+    j = math.frexp(float(np.abs(b).max()))[1]
+    return np.ldexp(b, -j), j
 
 
 def covector_array(beta, dim: int) -> np.ndarray:

@@ -4,7 +4,7 @@ Only squared magnitudes of homogeneous coordinates enter the moment map, so
 points of projective space are represented by non-negative weight vectors.
 The moment image of the positive point at beta equals the Gibbs mean energy
 at 2*beta (the squares double the exponent). Both read the Gibbs log-weights,
-formed in the state set's frame, so a translated set gives the same weights.
+formed about the heaviest state, so a translated set gives the same weights.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ class WeightVector:
 
 def positive_point(A: StateSet, beta) -> WeightVector:
     """The point (exp(-(beta, w)))_w, rescaled so the largest weight is 1: a
-    projective no-op, which drops the shift -(beta, x_0) that every weight
+    projective no-op, which drops the shift -(beta, x_h) that every weight
     shares and keeps the representation finite for any finite beta."""
-    log_w = _log_weights(A, beta)[0]
-    return WeightVector(np.exp(log_w - log_w.max()))
+    return WeightVector(np.exp(_log_weights(A, beta)[0]))
 
 
 def projective_moment(A: StateSet, w: WeightVector) -> np.ndarray:
@@ -66,9 +65,8 @@ def moment_of_beta(A: StateSet, beta) -> np.ndarray:
     """Moment image of the positive point at beta.
 
     The squared magnitudes double the exponent, so this equals mean_energy(A, 2*beta)
-    up to rounding; the squaring doubles beta's max-shifted log-weights, not beta.
+    up to rounding; the squaring doubles the log-weights about the heaviest state, not beta.
     """
-    log_w = _log_weights(A, beta)[0]
     with np.errstate(over="ignore"):  # a square below the float range is a zero weight
-        w = np.exp(2.0 * (log_w - log_w.max()))
+        w = np.exp(2.0 * _log_weights(A, beta)[0])
     return projective_moment(A, WeightVector(w))

@@ -269,6 +269,25 @@ _EDGE_DOCS = {
     "far_1d": ([[-300000], [-299999], [-299996]], _forward_runs("0.5")),
     "square_1e5": ([[1e5 + a, 1e5 + b] for a, b in ((0, 0), (1, 0), (0, 1), (1, 1))], _forward_runs("0.5,-1")),
     "two_state_1e5": ([[1e5], [1e5 + 1]], _forward_runs("0.5")),
+    # the heaviest states far from the first one, near the origin and far from
+    # it: weights about the first state missed a sum of 1 by 5e-11 and 5e-12,
+    # and caller-unit weights failed the second. `check`'s grid puts its
+    # targets on the boundary here (exit 3)
+    "first_far": ([[-3e5], [0.25], [1.5]], _forward_runs("-2")[:-1]),
+    "origin_first_far": ([[0], [3e5], [3e5 + 1]], _forward_runs("-1")[:-1]),
+    # beta paired in the frame once overflowed where the weights are doubles:
+    # its projection on this reduced set's span, and this tiny set's unit
+    # coordinates times beta
+    "reduced_1.7e308": ([[0, 0], [0.5, 0.5]], [
+        (["forward", "--beta=1.7e308,1.7e308"], 0, None),
+        (["toric", "--beta=1.7e308,1.7e308"], 0, None),
+        (["check"], 0, None),
+    ]),
+    "tiny_pm": ([[-1e-300], [1e-300]], [
+        (["forward", "--beta=-1.5e308"], 0, None),
+        (["toric", "--beta=-1.5e308"], 0, None),
+        (["check"], 0, None),
+    ]),
     # a target so far off the span that its margin is not a double: reported
     # without a margin, as exit 2
     "diagonal": ([[0, 0], [1, 1]], [

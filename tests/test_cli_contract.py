@@ -22,7 +22,8 @@ two exceptions:
 - an `invert` target off the span of a reduced set by no more than 1e-9 * 2^k,
   k the binary exponent of the largest |coordinate|, counts as on the span,
   so it is refused on A but may be solved on A + c. That tolerance follows
-  |x|, not the spread of the set.
+  |x|, not the spread of the set; ROADMAP item 12 makes it follow the spread
+  and deletes this exception.
 
 hypothesis runs derandomized with a fixed example budget, so every run draws
 the same examples.
@@ -218,7 +219,7 @@ def test_integer_translates_keep_the_contract_and_the_exit_codes(data):
         for cmd, argv in argvs(shift).items():
             codes.setdefault(cmd, []).append(_check_contract(argv, doc, twice))
     # the target's distance to the span, the same on A and A + c, against the
-    # span tolerance of A + c
+    # span tolerance of A + c (an exception that ROADMAP item 12 removes)
     target = np.array(_flag(argvs(0.0)["invert"], "--mean").split(","), float)
     off = _span_distance(pts, target)
     within = 1e-6 < off <= 2 * math.ldexp(1e-9, math.frexp(np.abs(pts + c).max())[1])

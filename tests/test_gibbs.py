@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -215,6 +216,70 @@ def test_weights_beyond_the_double_range_relative_to_the_first_state():
         assert mg.legendre_residual(A, [-1.0]) == 0.0
     assert s.distribution.probs.tolist() == [0.0, 1.0] and s.log_z == 1.7e308
     assert s.mean_energy.tolist() == [1.7e308] and s.entropy == 0.0
+
+
+def test_frame_products_do_not_overflow_where_the_weights_are_doubles():
+    # beta's projection on a reduced set's span (1.7e308 * sqrt(2)), and a tiny
+    # set's unit coordinates (up to 2) times beta: both once overflowed before
+    # the scaling by 2^k, and the weights turned to NaN
+    for pts, beta, log_z, probs in (
+        ([[0, 0], [0.5, 0.5]], [1.7e308, 1.7e308], 0.0, [1.0, 0.0]),
+        ([[-1e-300], [1e-300]], [-1.5e308], 1.5e8, [0.0, 1.0]),
+    ):
+        A = mg.new_state_set(len(pts[0]), pts)
+        with np.errstate(over="ignore"):  # the light state's weight is e^-1.7e308
+            s = mg.gibbs_summary(A, beta)
+            assert mg.legendre_residual(A, beta) == 0.0
+            assert mg.positive_point(A, beta).weights.tolist() == probs
+        assert s.log_z == log_z and s.distribution.probs.tolist() == probs
+
+
+def _exact_log_z(pts, beta) -> Decimal:
+    """log Z from the float inputs in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return sum((-sum(Decimal(b) * Decimal(x) for b, x in zip(beta, pt))).exp() for pt in pts).ln()
+
+
+def test_log_z_is_accurate_when_the_first_state_is_far_from_the_ground_state():
+    # log Z = -(beta, x_h) + log sum_i exp(l_i), l_i = -(beta, x_i - x_h), h the
+    # heaviest state. The shift rounds by at most n u sum |beta_j x_h,j|; x_i - x_h
+    # rounds by u |x_i - x_h| and the pairing by n u more, which moves the log-sum
+    # by at most sum_i p_i (n + 1) u sum_j |beta_j (x_i,j - x_h,j)| to first order;
+    # the N exponentials, their sum and its log round by about (N + 1) u, and the
+    # final sum by u |log Z|. About the first state, log Z cancelled -(beta, x_0)
+    # against (beta, x_0 - x_h) (the first set was 81 ulps off, the third 497),
+    # frame coordinates about x_0 rounded each weight by u ||beta||_1 2^k (the
+    # second set was 6.1e-14 off), and the last set's probabilities summed to
+    # 1 - 5e-11
+    u = 2.0**-53
+    for pts, beta in (
+        ([[1000.1], [0.3]], [1.7]),
+        ([[1000.1], [0.3], [0.5]], [1.7]),
+        ([[1000.1], [0.3], [0.5]], [40.0]),
+        ([[1000, 1000], [0.5, 0.25], [3, 0], [0, 4]], [1.3, 0.7]),
+        ([[-3e5], [0.25], [1.5]], [-2.0]),
+    ):
+        A = mg.new_state_set(len(pts[0]), pts)
+        s = mg.gibbs_summary(A, beta)
+        p = s.distribution.probs
+        h = int(np.argmax(p))
+        (N, n), b = A.points.shape, np.abs(beta)
+        top = n * float(b @ np.abs(A.points[h]))
+        weights = (n + 1) * float(p @ (np.abs(A.points - A.points[h]) @ b))
+        bound = u * (top + weights + (N + 1) + abs(s.log_z))
+        assert abs(Decimal(s.log_z) - _exact_log_z(pts, beta)) <= Decimal(1.01 * bound), (pts, beta)
+
+
+def test_beta_orthogonal_to_a_reduced_span_weighs_every_state_alike():
+    # (beta, x) = 0 on every point: pairing beta with differences of the points
+    # keeps every weight exactly 1, where its projection on the computed span
+    # once left weights 1e-8 apart
+    A = mg.new_state_set(2, [[-625, 625], [-375, 375], [250, -250], [375, -375], [500, -500]])
+    s = mg.gibbs_summary(A, [-1e5, -1e5])
+    uniform = mg.gibbs_summary(A, [0.0, 0.0])
+    assert s.distribution.probs.tobytes() == uniform.distribution.probs.tobytes()
+    assert s.log_z == uniform.log_z == mg.log_partition(A, [-1e5, -1e5])
 
 
 @settings(deadline=None, max_examples=60)

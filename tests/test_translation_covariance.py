@@ -9,10 +9,12 @@ dimension, the vertices, the facet normals and the iterations keep every bit,
 and a hull offset moves by (normal, c), exactly where the normal is integer.
 A target that moves exactly gives the same beta bits. A target t + c that
 rounds carries an error of up to half an ulp of c, and beta moves by no more
-than that error through the inverse covariance. The Gibbs log-weights are
-formed in the same frame, so the probabilities, the entropy and the Legendre
-residual keep every bit too, and only log Z moves, by -(beta, c) plus the
-rounding of the shift -(beta, x_0 + c) that every state shares.
+than that error through the inverse covariance. The Gibbs log-weights pair
+beta with the differences x - x_h about the heaviest state h, ranked in the
+frame, and those differences are exact for an integer set and its translate,
+so the probabilities, the entropy and the Legendre residual keep every bit
+too; only log Z moves, by -(beta, c) plus the rounding of the shift
+-(beta, x_h + c) that every state shares.
 """
 
 import json
@@ -119,7 +121,8 @@ def test_rounded_targets_move_beta_within_first_order_bound():
 
 def test_gibbs_weights_keep_their_bits_and_log_z_moves_by_the_shift():
     # log Z(A) = L + s_A and log Z(A + c) = L + s_B with the same log-sum L of
-    # the frame weights and the shifts s = -(beta, x_0) and -(beta, x_0 + c).
+    # the frame weights and the shifts s = -(beta, x_h) and -(beta, x_h + c), h the
+    # heaviest state, the same on both sets (their probabilities are bit-equal).
     # A dot product of n terms rounds by at most n u sum |beta_i y_i| / (1 - n u)
     # (u = 2^-53; the factor 1.01 covers the denominator), and each of the two
     # sums L + s rounds once more, by u |log Z|.
@@ -140,7 +143,8 @@ def test_gibbs_weights_keep_their_bits_and_log_z_moves_by_the_shift():
             # the exact (beta, c) in rationals, so the expectation adds no rounding
             pair = sum(Fraction(x) * Fraction(y) for x, y in zip(b, c))
             gap = abs(Fraction(log_z) - (Fraction(want.log_z) - pair))
-            shifts = np.abs(b) @ (np.abs(pts[0]) + np.abs(pts[0] + c))
+            h = int(np.argmax(want.distribution.probs))
+            shifts = np.abs(b) @ (np.abs(pts[h]) + np.abs(pts[h] + c))
             bound = A.dim * u * shifts + u * (abs(log_z) + abs(want.log_z))
             assert gap <= 1.01 * bound
             checked += 1
