@@ -20,6 +20,7 @@ import functools
 import gc
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -370,7 +371,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    options = vars(_build_parser().parse_args(argv))
+    args = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(args) - 1, 0, -1):  # argparse takes the -1,2 of "--beta -1,2" for an option
+        if re.fullmatch("--[^=]+", args[i - 1]) and re.match("-[^-]", args[i]):
+            args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
+    options = vars(_build_parser().parse_args(args))
     del options["command"]
     path, command = options.pop("input"), options.pop("run")
     try:

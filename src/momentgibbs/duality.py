@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BadSplit, NotNegativeDefinite
 from .gibbs import _entropy, _log_weights, _normalized, _scipy_kernel, mean_energy
 from .moment_solver import SolveOptions, invert_mean_energy
-from .state_space import StateSet, _float_array, _value_eq, point_array
+from .state_space import StateSet, _float_array, _read_only, _value_eq, point_array
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ class QuadraticForm:
             raise NotNegativeDefinite(
                 "matrix is not positive definite, so -x'Mx is not negative definite"
             ) from None
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _read_only(m))
 
     @property
     def dim(self) -> int:

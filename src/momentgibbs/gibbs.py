@@ -19,7 +19,7 @@ from importlib.util import module_from_spec
 import numpy as np
 
 from .errors import LengthMismatch
-from .state_space import Observable, StateSet, _float_array, _unit_covector, _value_eq, covector_array
+from .state_space import Observable, StateSet, _float_array, _read_only, _unit_covector, _value_eq, covector_array
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,7 @@ class Distribution:
         total = float(p.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _read_only(p))
 
     def __len__(self) -> int:
         return self.probs.shape[0]

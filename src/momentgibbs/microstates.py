@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidTotal, LengthMismatch
 from .gibbs import Distribution, _scipy_kernel
-from .state_space import StateSet, _value_eq
+from .state_space import StateSet, _read_only, _value_eq
 
 GENERATOR_NAME = "philox4x64-10"
 
@@ -65,9 +65,7 @@ class MicrostateCounts:
         count_sum = sum(c.tolist())  # exact: an int64 sum would wrap
         if count_sum != total:
             raise ValueError(f"counts sum to {count_sum}, expected total {total}")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", _read_only(c))
         object.__setattr__(self, "total", total)
 
 

@@ -156,18 +156,14 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         slope = -float(grad @ step)  # derivative of F along -step; negative
         slack = _ARMIJO_SLACK * (1.0 + abs(f))
         stride = 1.0
-        stalled = False
-        while True:
-            cand = beta - step if stride == 1.0 else beta - stride * step
+        while stride >= _MIN_STEP:
+            cand = beta - stride * step  # 1.0 * step is step, bit for bit
             log_z_c, p_c = _normalized(pts @ -cand)
             f_c = log_z_c + float(cand @ t)
             if f_c <= f + _ARMIJO * stride * slope + slack:
                 break
             stride *= _SHRINK
-            if stride < _MIN_STEP:
-                stalled = True
-                break
-        if stalled:
+        else:
             break  # no representable progress left; the raise below reports it
         beta, f, p = cand, f_c, p_c
         mean = p @ pts

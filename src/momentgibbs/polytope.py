@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OffAffineSpan, UnsupportedDimension, ZeroDirection
-from .state_space import StateSet, _unit_covector, affine_frame, covector_array, point_array
+from .state_space import StateSet, _read_only, _unit_covector, affine_frame, covector_array, point_array
 
 MAX_HULL_DIM = 6
 
@@ -130,12 +130,6 @@ def _enumerate_hull(A: StateSet) -> Polytope:
     return Polytope(A.dim, d, verts, facets, span_eqs, diam, A._exp)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float) + 0.0  # +0.0 canonicalizes -0.0 entries
-    out.setflags(write=False)
-    return out
-
-
 def _hull_interval(t: np.ndarray):
     imin = int(np.argmin(t))
     imax = int(np.argmax(t))
@@ -236,9 +230,9 @@ def _span_violation(Q: Polytope, p: np.ndarray) -> float:
 
 
 def min_face(A: StateSet, direction) -> FaceResult:
-    """States minimizing the pairing with `direction`, with tie tolerance
-    1e-9 relative to the spread of pairing values (a zero direction ties
-    every state)."""
+    """States minimizing the pairing with `direction`, tied within 1e-9 of the
+    pairings' spread, taken from their halves so it is finite at every magnitude
+    (a zero direction ties every state)."""
     d = covector_array(direction, A.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         pairings = A.points @ d
@@ -248,16 +242,14 @@ def min_face(A: StateSet, direction) -> FaceResult:
         # the pairings are finite and exact multiples of the true ones
         pairings = np.ldexp(A.points, -A._exp) @ _unit_covector(d)[0]
     low, high = float(pairings.min()), float(pairings.max())
-    tol = _TIE_REL * (high - low)
-    if math.isinf(tol):  # the spread overflowed; halving is exact at this magnitude
-        tol = 2 * _TIE_REL * (high / 2 - low / 2)
+    tol = 2 * _TIE_REL * (high / 2 - low / 2)  # the halves' spread cannot overflow
     idx = np.flatnonzero(pairings <= low + tol)
     with np.errstate(over="ignore", invalid="ignore"):
         bary = A.points[idx].mean(axis=0)
     if not np.all(np.isfinite(bary)):  # a sum overflowed: average those in the unit 2^k
         unit = np.ldexp(np.ldexp(A.points[idx], -A._exp).mean(axis=0), A._exp)
         bary = np.where(np.isfinite(bary), bary, unit)
-    return FaceResult(tuple(int(i) for i in idx), value, _frozen(bary))
+    return FaceResult(tuple(int(i) for i in idx), value, _read_only(bary + 0.0))  # +0.0: no -0.0
 
 
 def tropical_limit(A: StateSet, direction) -> np.ndarray:

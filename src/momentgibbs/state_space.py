@@ -87,6 +87,13 @@ def _value_eq(self, other):
     return True
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of arr: what each value type stores, so no caller's array aliases it."""
+    out = arr.copy()
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class StateSet:
     """Ordered set of N distinct energy points in R^dim.
@@ -165,10 +172,6 @@ class StateSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def n_states(self) -> int:
-        return self.points.shape[0]
-
 
 @dataclass(frozen=True)
 class Observable:
@@ -184,9 +187,7 @@ class Observable:
             raise ValueError("observable values must form a nonempty vector")
         if not np.all(np.isfinite(vals)):
             raise ValueError("observable values must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _read_only(vals))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -207,9 +208,7 @@ class CoVector:
             raise ValueError("covector needs at least one component")
         if not np.logical_and.reduce(np.isfinite(comp)):
             raise ValueError("covector components must be finite")
-        comp = comp.copy()
-        comp.setflags(write=False)
-        object.__setattr__(self, "components", comp)
+        object.__setattr__(self, "components", _read_only(comp))
 
     def __len__(self) -> int:
         return self.components.shape[0]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AllZeroWeights, LengthMismatch
 from .gibbs import _log_weights
-from .state_space import StateSet, _float_array, _value_eq
+from .state_space import StateSet, _float_array, _read_only, _value_eq
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class WeightVector:
             raise ValueError("weights must be finite and non-negative")
         if not np.any(w > 0):
             raise AllZeroWeights("weights must not all vanish")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _read_only(w))
 
     def __len__(self) -> int:
         return self.weights.shape[0]

@@ -197,6 +197,63 @@ def test_main_tolerance_flags_exit_2(capsys):
     ]
 
 
+CENTERED = {"dim": 2, "points": [[-1, -1], [1, -1], [-1, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forward", "--beta", "-1,2"],
+        ["toric", "--beta", "-1,2"],
+        ["microstates", "--total", "5", "--seed", "1", "--beta", "-1,2"],
+        ["invert", "--mean", "-0.5,0.5"],
+        ["limit", "--direction", "-1,0"],
+        ["sweep", "--from", "-1e-3", "--to", "1", "--steps", "3"],
+        ["sweep", "--from", "0", "--to", "1", "--steps", "3", "--fixed", "-1e-3"],
+        ["sweep", "--from", "-1e-3", "--to", "-1,2", "--steps", "3"],  # refused by float
+    ],
+)
+def test_a_negative_value_after_its_flag_reads_as_the_value(tmp_path, capsys, argv):
+    path = tmp_path / "centered.json"
+    path.write_text(json.dumps(CENTERED))
+    runs = []
+    for joined in (False, True):
+        args = [argv[0], str(path)]
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            args += [f"{flag}={value}"] if joined else [flag, value]
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 2)
+
+
+def test_main_joins_only_a_single_dash_value_to_a_double_dash_flag(monkeypatch):
+    class Parsed(Exception):
+        pass
+
+    def parse_args(args):
+        raise Parsed(args)
+
+    monkeypatch.setattr(cli, "_build_parser", lambda: types.SimpleNamespace(parse_args=parse_args))
+    with pytest.raises(Parsed) as parsed:
+        cli.main(["forward", "-", "--beta", "-1", "--", "-2", "--x=1", "-3", "--y", "-", "--z", "--w", "-4"])
+    assert parsed.value.args[0] == [
+        "forward", "-", "--beta=-1", "--", "-2", "--x=1", "-3", "--y", "-", "--z", "--w=-4"
+    ]
+
+
+@pytest.mark.parametrize("value", ["-inf", "inf"])
+def test_main_refuses_an_infinite_sweep_bound(capsys, value):
+    two = str(DATA_DIR / "two_state.json")
+    assert cli.main(["sweep", two, "--from", value, "--to", "1", "--steps", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "ValueError: sweep range must be finite\n"
+    assert json.loads(out.out)["error"]["message"] == "sweep range must be finite"
+
+
 def test_to_json_arrays():
     # strict JSON has no NaN or Infinity: a payload holding one is refused
     for bad in (np.nan, np.inf, -np.inf):

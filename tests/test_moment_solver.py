@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import momentgibbs as mg
+from momentgibbs import moment_solver
 from momentgibbs.gibbs import _covariance
 import oracles
 from momentgibbs.moment_solver import _newton_step
@@ -86,6 +87,18 @@ def test_target_on_boundary(two_state):
     assert "tropical_limit" in str(err.value)
     with pytest.raises(mg.TargetOnBoundary):
         mg.invert_mean_energy(two_state, [1.0 - 1e-12])
+
+
+def test_line_search_gives_up_when_no_stride_decreases_f(monkeypatch, two_state):
+    mg.invert_mean_energy(two_state, [0.25])  # memoizes the beta = 0 state
+    normalized = moment_solver._normalized
+    monkeypatch.setattr(moment_solver, "_normalized", lambda log_w: (math.nan, normalized(log_w)[1]))
+    with pytest.raises(mg.NoConvergence) as err:
+        mg.invert_mean_energy(two_state, [0.25])
+    report = err.value.report
+    assert report.iterations == 1 and not report.converged
+    assert report.beta.components.tolist() == [0.0]  # no candidate was taken
+    assert str(err.value) == f"no convergence after 1 iterations (grad_norm {0.25:.3g} > {1e-10:.3g})"
 
 
 def test_no_convergence_carries_report(two_state):

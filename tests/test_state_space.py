@@ -95,6 +95,46 @@ def test_int_beyond_float_range_is_value_error(call):
         call()
 
 
+_LINE = mg.new_state_set(1, [[0], [1]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mg.Observable([]), "observable values must form a nonempty vector"),
+        (lambda: mg.CoVector([]), "covector needs at least one component"),
+        (lambda: mg.gibbs_summary(_LINE, [math.nan]), "covector components must be finite"),
+        (lambda: mg.WeightVector([]), "weights must form a nonempty vector"),
+        (lambda: mg.QuadraticForm([[math.inf]]), "matrix entries must be finite"),
+    ],
+    ids=["Observable", "CoVector", "gibbs_summary", "WeightVector", "QuadraticForm"],
+)
+def test_value_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message  # no subclass
+
+
+@pytest.mark.parametrize(
+    "build, name, given",
+    [
+        (mg.Observable, "values", [1.0, 2.0]),
+        (mg.CoVector, "components", [1.0, -2.0]),
+        (lambda a: mg.Distribution(a, _LINE), "probs", [0.25, 0.75]),
+        (mg.WeightVector, "weights", [0.0, 2.0]),
+        (mg.QuadraticForm, "matrix", [[2.0, 0.5], [0.5, 1.0]]),
+        (lambda a: mg.MicrostateCounts(a, 3, 7, _LINE), "counts", [1, 2]),
+    ],
+    ids=["Observable", "CoVector", "Distribution", "WeightVector", "QuadraticForm", "MicrostateCounts"],
+)
+def test_value_types_store_a_read_only_copy(build, name, given):
+    arr = np.array(given)
+    stored = getattr(build(arr), name)
+    assert not stored.flags.writeable and not np.shares_memory(stored, arr)
+    arr[...] = 5
+    assert stored.tolist() == given
+
+
 def test_labels_validation():
     A = mg.new_state_set(1, [[0], [1]], labels=["a", "b"])
     assert A.labels == ("a", "b")
