@@ -2,7 +2,9 @@
 
 Everything that signals bad *input* derives from ValueError so callers can
 catch one base; solver non-convergence is a RuntimeError because the inputs
-were fine.
+were fine. Every class survives `pickle` with its type, message and fields:
+the three whose constructors take more than the message say how to rebuild
+them in `__reduce__`.
 """
 
 
@@ -61,6 +63,9 @@ class TargetOutsideHull(ValueError):
         self.margin = float(margin)
         super().__init__(message or f"target outside hull (margin {self.margin:.6g})")
 
+    def __reduce__(self):
+        return type(self), (self.margin, str(self)), vars(self)
+
 
 class TargetOnBoundary(ValueError):
     """Requested mean sits on (or within tolerance of) the hull boundary.
@@ -73,6 +78,9 @@ class TargetOnBoundary(ValueError):
         self.margin = float(margin)
         super().__init__(message or f"target on hull boundary (margin {self.margin:.6g})")
 
+    def __reduce__(self):
+        return type(self), (self.margin, str(self)), vars(self)
+
 
 class NoConvergence(RuntimeError):
     """Solver hit its iteration cap; the partial report rides along."""
@@ -80,3 +88,6 @@ class NoConvergence(RuntimeError):
     def __init__(self, message: str, report=None):
         self.report = report
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (str(self), self.report), vars(self)

@@ -10,6 +10,7 @@ with no scipy package (`_scipy_kernel`): callers that never need it load none.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -40,9 +41,11 @@ class Distribution:
             raise LengthMismatch(
                 f"{p.size} probabilities for {len(self.parent)} states"
             )
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        total = float(np.add.reduce(p))
+        # a nan or negative entry fails the min, an infinite one the sum; a sum that
+        # overflows from finite entries passes here and fails the sum check below
+        if not (np.minimum.reduce(p) >= 0 and (math.isfinite(total) or np.isfinite(p).all())):
             raise ValueError("probabilities must be finite and non-negative")
-        total = float(p.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probs", _read_only(p))
@@ -76,12 +79,13 @@ def _log_weights(A: StateSet, beta) -> tuple[np.ndarray, float]:
     """The log-weights -(beta, x - x_h) about the heaviest state h, all <= 0, and the
     shift -(beta, x_h) they share: log Z is their log-sum plus it. x - x_h is taken in
     the unit 2^k and beta in its own 2^j, so a weight rounds with its distance to h
-    and nothing overflows before 2^(k + j). The same bits on an integer translate."""
+    and nothing overflows before 2^(k + j). The same bits on an integer translate.
+    np.dot, not @: at d = 1, @ takes a non-BLAS loop several times slower, for the same bits."""
     b = covector_array(beta, A.dim)
     b_unit, j = _unit_covector(b)
-    a = int(np.argmax(A._coords @ -(b_unit @ A._span)))  # heaviest up to the frame's rounding
-    r = -b_unit @ (A._unit_t - A._unit_t[:, a : a + 1])
-    h = int(np.argmax(r))
+    a = np.dot(A._coords, -(b_unit @ A._span)).argmax()  # heaviest up to the frame's rounding
+    r = np.dot(-b_unit, A._unit_t - A._unit_t[:, a : a + 1])
+    h = r.argmax()
     with np.errstate(over="ignore"):  # a weight below the float range: -inf, a zero weight
         return np.ldexp(r - r[h], A._exp + j), -float(b @ A.points[h])
 
@@ -148,7 +152,7 @@ def mean_energy(A: StateSet, beta) -> np.ndarray:
     """Mean of the energy points; equals minus the gradient of
     `log_partition` in beta, and always lies strictly inside the hull."""
     _, p = _normalized(_log_weights(A, beta)[0])
-    return p @ A.points
+    return np.dot(p, A.points)
 
 
 def energy_covariance(A: StateSet, beta) -> np.ndarray:
@@ -159,7 +163,7 @@ def energy_covariance(A: StateSet, beta) -> np.ndarray:
     and minus the Jacobian of `mean_energy`.
     """
     _, p = _normalized(_log_weights(A, beta)[0])
-    return _covariance(A.points, p, p @ A.points)
+    return _covariance(A.points, p, np.dot(p, A.points))
 
 
 def entropy(p: Distribution) -> float:
@@ -172,4 +176,4 @@ def gibbs_summary(A: StateSet, beta) -> GibbsSummary:
     covariance is computed from the summary's weights on each read."""
     log_w, shift = _log_weights(A, beta)
     log_z, probs = _normalized(log_w)
-    return GibbsSummary(log_z + shift, Distribution(probs, A), probs @ A.points, _entropy(probs))
+    return GibbsSummary(log_z + shift, Distribution(probs, A), np.dot(probs, A.points), _entropy(probs))

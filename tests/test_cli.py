@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import momentgibbs.cli as cli
+from momentgibbs.errors import NoConvergence, TargetOutsideHull
 from momentgibbs.gibbs import gibbs_summary
 from momentgibbs.state_space import state_set_from_json
 from conftest import DATA_DIR, load_doc
@@ -121,19 +123,175 @@ def test_sweep_error_in_the_loop_exits_2():
     assert cli.cmd_forward(doc, "1e200").exit_code == 2
 
 
-def test_sweep_matches_gibbs_summary():
-    rng = np.random.Generator(np.random.Philox(key=45))
-    pts = rng.normal(size=(500, 2)) * [3.0, 0.5]
-    doc = {"dim": 2, "points": pts.tolist()}
+def _summary_csv(doc, axis, start, stop, steps, fixed):
+    """The sweep's CSV, built step by step from gibbs_summary."""
     A = state_set_from_json(doc)
+    lines = ["beta_axis,mean_1,mean_2,entropy,log_z"]
+    for value in np.linspace(start, stop, steps):
+        s = gibbs_summary(A, np.insert([float(fixed)], axis, value))
+        lines.append(",".join(cli._fmt(c) for c in [value, *s.mean_energy, s.entropy, s.log_z]))
+    return "\n".join(lines)
+
+
+def _plane_doc():
+    rng = np.random.Generator(np.random.Philox(key=45))
+    return {"dim": 2, "points": (rng.normal(size=(500, 2)) * [3.0, 0.5]).tolist()}
+
+
+def test_sweep_matches_gibbs_summary():
+    doc = _plane_doc()
     for axis, fixed in ((0, "0.7"), (1, "-1.5")):
-        lines = ["beta_axis,mean_1,mean_2,entropy,log_z"]
-        for value in np.linspace(-4.0, 3.0, 41):
-            s = gibbs_summary(A, np.insert([float(fixed)], axis, value))
-            lines.append(",".join(cli._fmt(c) for c in [value, *s.mean_energy, s.entropy, s.log_z]))
         res = cli.cmd_sweep(doc, axis, -4.0, 3.0, 41, fixed)
         assert res.exit_code == 0
-        assert res.payload == "\n".join(lines)
+        assert res.payload == _summary_csv(doc, axis, -4.0, 3.0, 41, fixed)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Sweeps fork at any size: returns a function that sets the usable cores and
+    the list that counts this process's forks."""
+    monkeypatch.setattr(cli, "_FORK_WORK", 1)
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+
+    def cores(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return calls
+
+    return cores
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_forked_sweep_matches_gibbs_summary(forks, blocks):
+    calls = forks(blocks)
+    doc = _plane_doc()
+    for axis, fixed, steps in ((0, "0.7", 41), (1, "-1.5", 2), (0, "0.0", 3)):
+        calls.clear()
+        res = cli.cmd_sweep(doc, axis, -4.0, 3.0, steps, fixed)
+        assert res.exit_code == 0 and len(calls) == blocks - 1
+        assert res.payload == _summary_csv(doc, axis, -4.0, 3.0, steps, fixed)
+        _no_child_left()
+
+
+def _failing_at(monkeypatch, failures: dict):
+    """gibbs_summary raising failures[beta[0]] at those values of beta[0]."""
+    from momentgibbs import gibbs
+
+    summary = gibbs.gibbs_summary
+
+    def failing(A, beta):
+        if beta[0] in failures:
+            raise failures[beta[0]]
+        return summary(A, beta)
+
+    monkeypatch.setattr(gibbs, "gibbs_summary", failing)
+
+
+@pytest.mark.parametrize(
+    "failures",
+    [
+        {0.75: ValueError("step 0.75 fails")},  # in the last child's block only
+        {0.0: ValueError("step 0 fails"), 0.75: ValueError("step 0.75 fails")},  # the first is reported
+        {-0.5: ValueError("this process's block"), 0.25: ValueError("a child's block")},
+        {0.5: TargetOutsideHull(-0.25)},  # exit 3, with its margin
+        {0.5: NoConvergence("no convergence after 1 iterations")},  # exit 4
+    ],
+)
+def test_a_failing_step_gives_the_serial_outcome(forks, monkeypatch, capsys, failures):
+    _failing_at(monkeypatch, failures)
+    argv = ["sweep", TWO, "--from=-1", "--to=1", "--steps=9"]  # blocks -1..-0.5, -0.25..0.25, 0.5..1
+    forks(1)
+    serial = cli.main(argv), capsys.readouterr()
+    calls = forks(3)
+    assert (cli.main(argv), capsys.readouterr()) == serial and len(calls) == 2
+    assert serial[0] in (2, 3, 4) and serial[1].err.count("\n") == 1
+    _no_child_left()
+
+
+def test_a_child_that_dies_leaves_its_block_to_the_parent(forks, monkeypatch):
+    from momentgibbs import gibbs
+
+    summary, parent = gibbs.gibbs_summary, os.getpid()
+
+    def dying(A, beta):
+        if beta[0] == 0.75 and os.getpid() != parent:
+            os._exit(1)
+        return summary(A, beta)
+
+    monkeypatch.setattr(gibbs, "gibbs_summary", dying)
+    calls = forks(3)
+    two = load_doc("two_state.json")
+    res = cli.cmd_sweep(two, 0, -1.0, 1.0, 9)
+    assert len(calls) == 2
+    monkeypatch.setattr(gibbs, "gibbs_summary", summary)
+    assert res == cli.cmd_sweep(two, 0, -1.0, 1.0, 9)
+    _no_child_left()
+
+
+def test_children_are_killed_when_this_process_raises(forks, monkeypatch):
+    import signal
+    import time
+
+    from momentgibbs import gibbs
+
+    parent = os.getpid()
+
+    def slow_child(A, beta):
+        if os.getpid() != parent:
+            time.sleep(5)  # still running when this process's block fails
+        raise ValueError("this process's block fails")
+
+    monkeypatch.setattr(gibbs, "gibbs_summary", slow_child)
+    statuses, waitpid = [], os.waitpid
+
+    def recorded(pid, options):
+        statuses.append(waitpid(pid, options)[1])
+        return pid, statuses[-1]
+
+    monkeypatch.setattr(os, "waitpid", recorded)
+    forks(3)
+    res = cli.cmd_sweep(load_doc("two_state.json"), 0, -1.0, 1.0, 9)
+    assert res.diagnostics == ("ValueError: this process's block fails",)
+    assert len(statuses) == 2 and all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses)
+    _no_child_left()
+
+
+def test_one_core_or_a_failing_fork_gives_the_same_bytes(forks, monkeypatch):
+    doc = _plane_doc()
+    want = _summary_csv(doc, 0, -4.0, 3.0, 41, "0.7")
+    calls = forks(1)
+    assert cli.cmd_sweep(doc, 0, -4.0, 3.0, 41, "0.7").payload == want and not calls
+
+    def no_fork():
+        calls.append(1)
+        raise OSError(11, "Resource temporarily unavailable")
+
+    forks(3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli.cmd_sweep(doc, 0, -4.0, 3.0, 41, "0.7").payload == want and len(calls) == 2
+    _no_child_left()
+
+
+def test_the_fork_threshold_keeps_small_sweeps_serial(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert cli._processes(201 * 4) == 1  # the data/ sweeps
+    assert cli._processes(2001 * 4500) == 2  # the N = 4500 sweep at 2001 steps
+    assert cli._processes(2 * cli._FORK_WORK - 1) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert cli._processes(5 * cli._FORK_WORK) == 5
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        assert cli._processes(5 * cli._FORK_WORK) == 1  # no fork while another thread runs
+    finally:
+        done.set()
+        other.join()
 
 
 def _subcommands():

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentgibbs as mg
+from momentgibbs import gibbs
+from momentgibbs.state_space import _unit_covector, covector_array
 from oracles import central_gradient, central_jacobian
 
 LOG3 = math.log(3.0)
@@ -76,6 +78,27 @@ def test_distribution_validation(two_state):
         mg.Distribution([0.7, 0.2], two_state)
     with pytest.raises(ValueError):
         mg.Distribution([1.5, -0.5], two_state)
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([1.5, -0.5], "probabilities must be finite and non-negative"),
+        ([-0.0, 1.0], None),
+        ([math.nan, 1.0], "probabilities must be finite and non-negative"),
+        ([math.inf, 0.0], "probabilities must be finite and non-negative"),
+        ([math.inf, -1.0], "probabilities must be finite and non-negative"),
+        ([1e308, 1e308], "probabilities sum to inf, expected 1"),  # finite entries, overflowing sum
+        ([0.7, 0.2], "probabilities sum to 0.8999999999999999, expected 1"),
+    ],
+)
+def test_distribution_messages(two_state, probs, message):
+    if message is None:
+        assert mg.Distribution(probs, two_state).probs.tolist() == probs
+        return
+    with pytest.raises(ValueError) as err, np.errstate(over="ignore"):
+        mg.Distribution(probs, two_state)
+    assert str(err.value) == message
 
 
 def test_gibbs_summary_consistency(two_state):
@@ -301,3 +324,51 @@ def test_distribution_compares_by_value(two_state, three_state):
     assert p != mg.Distribution([0.25, 0.5, 0.25], three_state)
     assert p != mg.Distribution([0.25, 0.75], mg.new_state_set(1, [[0], [2]]))
     assert p != [0.25, 0.75]
+
+
+def _log_weights_matmul(A, beta):
+    """The log-weight kernel with @ and np.argmax, as it was before np.dot: the
+    reference every bit of the np.dot kernel is compared with."""
+    b = covector_array(beta, A.dim)
+    b_unit, j = _unit_covector(b)
+    a = int(np.argmax(A._coords @ -(b_unit @ A._span)))
+    r = -b_unit @ (A._unit_t - A._unit_t[:, a : a + 1])
+    h = int(np.argmax(r))
+    with np.errstate(over="ignore"):
+        return np.ldexp(r - r[h], A._exp + j), -float(b @ A.points[h])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_dot_kernels_keep_the_bits_of_matmul():
+    rng = np.random.Generator(np.random.Philox(key=2020))
+    cases = 0
+    for d in (1, 2, 3):
+        for n in (d, d + 2):  # full, then reduced (affine dimension d in R^(d + 2))
+            for N in (2, 60, 3000):
+                coeffs = rng.integers(-40, 41, size=(N, d)).astype(float)
+                coeffs[0] = 0.0  # the origin is a state when the offset is zero
+                embed = rng.normal(size=(d, n)) if n > d else np.eye(d)
+                offset = np.zeros(n) if N != 60 else rng.normal(size=n) * 1e3
+                pts = np.unique(coeffs @ embed + offset, axis=0)
+                A = mg.new_state_set(n, pts)
+                assert A.affine_dim == min(d, len(pts) - 1)
+                betas = [np.zeros(n), np.full(n, -0.0)] + [rng.normal(size=n) * s for s in (1e-3, 0.3, 30.0)]
+                for beta in betas:
+                    log_w, shift = _log_weights_matmul(A, beta)
+                    got = gibbs._log_weights(A, beta)
+                    assert (_bits(got[0]), _bits(got[1])) == (_bits(log_w), _bits(shift))
+                    log_z, probs = gibbs._normalized(log_w)
+                    mean = probs @ A.points
+                    s = mg.gibbs_summary(A, beta)
+                    assert _bits(s.log_z) == _bits(log_z + shift)
+                    assert _bits(s.distribution.probs) == _bits(probs)
+                    assert _bits(s.mean_energy) == _bits(mean)
+                    assert _bits(s.entropy) == _bits(gibbs._entropy(probs))
+                    assert _bits(mg.mean_energy(A, beta)) == _bits(mean)
+                    assert _bits(mg.energy_covariance(A, beta)) == _bits(gibbs._covariance(A.points, probs, mean))
+                    assert _bits(mg.positive_point(A, beta).weights) == _bits(np.exp(log_w))
+                    cases += 1
+    assert cases == 3 * 2 * 3 * 5

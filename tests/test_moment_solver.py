@@ -1,4 +1,5 @@
 import math
+import pickle
 import subprocess
 import sys
 import threading
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import momentgibbs as mg
-from momentgibbs import moment_solver
+from momentgibbs import errors, moment_solver
 from momentgibbs.gibbs import _covariance
 import oracles
 from momentgibbs.moment_solver import _newton_step
@@ -111,6 +112,37 @@ def test_no_convergence_carries_report(two_state):
     # the partial report's entropy is read from its own weights
     p = mg.gibbs_distribution(two_state, report.beta)
     assert report.entropy == pytest.approx(mg.entropy(p), rel=1e-12)
+
+
+def _raised(two_state):
+    """One raised instance of every class in momentgibbs.errors."""
+    classes = {name: cls for name, cls in vars(errors).items() if isinstance(cls, type)}
+    errs = {name: cls(f"{name} message") for name, cls in classes.items() if "__reduce__" not in vars(cls)}
+    for target, opts in (([1.5], None), ([1.0], None), ([0.01], mg.SolveOptions(max_iter=2))):
+        with pytest.raises((mg.TargetOutsideHull, mg.TargetOnBoundary, mg.NoConvergence)) as err:
+            mg.invert_mean_energy(two_state, target, opts)
+        errs[type(err.value).__name__] = err.value
+    assert errs.keys() == classes.keys()
+    errs["TargetOnBoundary given a message"] = mg.TargetOnBoundary(-0.0, "on the boundary")
+    return errs
+
+
+def test_every_error_class_survives_pickle(two_state):
+    errs = _raised(two_state)
+    assert len(errs) == 15 and errs["NoConvergence"].report is not None
+    for name, exc in errs.items():
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc) and back.args == exc.args, name
+        assert vars(back).keys() == vars(exc).keys(), name
+    for name in ("TargetOutsideHull", "TargetOnBoundary", "TargetOnBoundary given a message"):
+        back = pickle.loads(pickle.dumps(errs[name]))
+        assert math.copysign(1.0, back.margin) == math.copysign(1.0, errs[name].margin)
+        assert back.margin == errs[name].margin
+    report = errs["NoConvergence"].report
+    back = pickle.loads(pickle.dumps(errs["NoConvergence"])).report
+    assert (back.iterations, back.grad_norm, back.converged, back.reduced) == (
+        report.iterations, report.grad_norm, report.converged, report.reduced)
+    assert back.beta == report.beta and back.entropy == report.entropy
 
 
 def test_report_entropy_is_computed_from_hidden_read_only_weights(square, two_state):
