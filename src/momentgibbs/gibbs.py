@@ -72,7 +72,7 @@ class GibbsSummary:
     def covariance(self) -> np.ndarray:
         """Covariance of the energy points under the summary's weights."""
         p = self.distribution
-        return _covariance(p.parent.points, p.probs, self.mean_energy)
+        return _covariance(p.parent.points.T, p.probs, self.mean_energy)
 
 
 def _log_weights(A: StateSet, beta) -> tuple[np.ndarray, float]:
@@ -97,10 +97,12 @@ def _normalized(log_w: np.ndarray) -> tuple[float, np.ndarray]:
     return log_z, np.exp(log_w - log_z)
 
 
-def _covariance(pts: np.ndarray, p: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    # symmetrized so rounding never leaves the result asymmetric
-    centered = pts - mean
-    cov = centered.T @ (centered * p[:, None])
+def _covariance(rows: np.ndarray, p: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Covariance of (d, N) rows under p, for the solver's Hessian and the forward path:
+    d elementwise passes of length N. On `A.points.T` it keeps the bits of the (N, d) form;
+    symmetrized so rounding never leaves the result asymmetric."""
+    c = rows - mean[:, None]
+    cov = np.dot(c * p, c.T)
     return (cov + cov.T) / 2.0
 
 
@@ -163,7 +165,7 @@ def energy_covariance(A: StateSet, beta) -> np.ndarray:
     and minus the Jacobian of `mean_energy`.
     """
     _, p = _normalized(_log_weights(A, beta)[0])
-    return _covariance(A.points, p, np.dot(p, A.points))
+    return _covariance(A.points.T, p, np.dot(p, A.points))
 
 
 def entropy(p: Distribution) -> float:

@@ -16,7 +16,10 @@ scaled by 2^-k, in span coordinates, where the Hessian is positive definite),
 so a set, its 2^j multiple and its exact translates take the same steps. Beta
 is scaled back and lifted by the span, with zero component along its annihilator.
 Every solve starts at beta = 0, whose uniform weights depend on the set alone:
-the first solve on a set memoizes that state on it, and every solve reads it.
+the first solve on a set memoizes that state on it, with a contiguous (d, N)
+copy of the frame coordinates, and every solve reads it. Newton runs on those
+rows: the log-weights, the mean and the Hessian (`gibbs._covariance`) each make
+d passes of length N, not N passes of length d.
 The report keeps the solution's Gibbs weights and computes the entropy from
 them when it is read, so a solve for beta alone never loads ``xlogy``.
 """
@@ -130,16 +133,17 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         one = np.broadcast_to(1.0, 1)  # its weights, read-only
         return SolveReport(CoVector(np.zeros(A.dim)), 0, 0.0, True, reduced, one)
 
-    pts = A._coords
     t = _frame_coords(A, t_full)
     if A._start is None:  # racing first solves write equal values
-        log_z, p = _normalized(np.zeros(len(pts)))
-        mean = p @ pts
-        cov = _covariance(pts, p, mean)
-        for arr in (p, mean, cov):
+        rows = np.ascontiguousarray(A._coords.T)
+        log_z, p = _normalized(np.zeros(len(A)))
+        mean = np.dot(rows, p)
+        cov = _covariance(rows, p, mean)
+        for arr in (p, mean, cov, rows):
             arr.setflags(write=False)
-        object.__setattr__(A, "_start", (log_z, p, mean, cov))
-    f, p, mean, hess = A._start  # F(0) = log Z(0)
+        object.__setattr__(A, "_start", (log_z, p, mean, cov, rows))
+    f, p, mean, hess, rows = A._start  # F(0) = log Z(0)
+    dposv = _scipy_kernel("dposv")
     beta = np.zeros(d)
     iterations = 0
 
@@ -151,14 +155,14 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
             break
         iterations += 1
 
-        step = _newton_step(hess if iterations == 1 else _covariance(pts, p, mean), grad)
+        step = _newton_step(hess if iterations == 1 else _covariance(rows, p, mean), grad, dposv)
 
         slope = -float(grad @ step)  # derivative of F along -step; negative
         slack = _ARMIJO_SLACK * (1.0 + abs(f))
         stride = 1.0
         while stride >= _MIN_STEP:
             cand = beta - stride * step  # 1.0 * step is step, bit for bit
-            log_z_c, p_c = _normalized(pts @ -cand)
+            log_z_c, p_c = _normalized(np.dot(-cand, rows))
             f_c = log_z_c + float(cand @ t)
             if f_c <= f + _ARMIJO * stride * slope + slack:
                 break
@@ -166,7 +170,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         else:
             break  # no representable progress left; the raise below reports it
         beta, f, p = cand, f_c, p_c
-        mean = p @ pts
+        mean = np.dot(rows, p)
 
     p.setflags(write=False)
     beta = np.ldexp(beta, -A._exp)
@@ -201,7 +205,7 @@ def solve_gradient(A: StateSet, target, opts: SolveOptions | None = None) -> CoV
     return invert_mean_energy(A, target, opts).beta
 
 
-def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _newton_step(hess: np.ndarray, grad: np.ndarray, dposv=None) -> np.ndarray:
     """Solve hess @ s = grad by Cholesky, adding a scaled ridge if it fails.
 
     One dposv call runs dpotrf and dpotrs with the arguments cho_factor and cho_solve pass,
@@ -209,9 +213,10 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     routine. Their checks stay: a non-finite input raises ValueError (the gradient only once
     a factor exists), as does an illegal-argument code. The factor needs no check: each
     entry below the diagonal enters the pivot of its row, so with info 0 all are finite.
-    dposv is `_scipy_kernel`'s, from scipy.linalg's compiled module with no scipy package.
+    dposv is `_scipy_kernel`'s, from scipy.linalg's compiled module with no scipy package;
+    a solve looks it up once and passes it to each step.
     """
-    dposv = _scipy_kernel("dposv")
+    dposv = dposv or _scipy_kernel("dposv")
     a = hess
     reg = 0.0
     for _ in range(40):

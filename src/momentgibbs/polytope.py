@@ -20,7 +20,9 @@ from .state_space import StateSet, _read_only, _unit_covector, affine_frame, cov
 
 MAX_HULL_DIM = 6
 
-_SPAN_TOL = 1e-9  # span violations are distances; the bound scales with the set's unit 2^k
+# a point is on the span within _SPAN_TOL of the diameter plus _SPAN_ULPS ulps of the unit
+# 2^k per state and coordinate: the rounding of a mean of N points and of the equations
+_SPAN_TOL, _SPAN_ULPS = 1e-9, 4
 _TIE_REL = 1e-9
 _DIAM_ROWS = 256
 
@@ -48,9 +50,10 @@ class Polytope:
     cut out the affine span; it has no rows when the points affinely span the
     ambient space, and otherwise the facet normals live inside the span.
     It keeps its set's unit 2^k and its diameter in that unit, finite where
-    `diameter` overflows, and the facet normals' norms, computed once with it,
-    in a private read-only array that `repr` leaves out; every margin divides
-    by them. Hulls compare and hash by identity.
+    `diameter` overflows, the distance within which a point counts as on the
+    span, and the facet normals' norms, computed once with it, in a private
+    read-only array that `repr` leaves out; every margin divides by them.
+    Hulls compare and hash by identity.
     """
 
     ambient_dim: int
@@ -60,6 +63,7 @@ class Polytope:
     span_equations: np.ndarray
     _unit_diameter: float = field(repr=False)
     _exp: int = field(repr=False)
+    _span_tol: float = field(repr=False)
     _facet_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -127,7 +131,8 @@ def _enumerate_hull(A: StateSet) -> Polytope:
     for lo in range(0, len(vp), _DIAM_ROWS):
         gaps = vp[lo : lo + _DIAM_ROWS, None, :] - vp[None, :, :]
         diam = max(diam, float(np.linalg.norm(gaps, axis=-1).max()))
-    return Polytope(A.dim, d, verts, facets, span_eqs, diam, A._exp)
+    span_tol = math.ldexp(_SPAN_TOL * diam + _SPAN_ULPS * (len(A) + A.dim) * np.finfo(float).eps, A._exp)
+    return Polytope(A.dim, d, verts, facets, span_eqs, diam, A._exp, span_tol)
 
 
 def _hull_interval(t: np.ndarray):
@@ -220,13 +225,14 @@ def _margin(Q: Polytope, p: np.ndarray) -> float:
 
 
 def _span_violation(Q: Polytope, p: np.ndarray) -> float:
-    """Distance from p to the affine span of the hull, or 0.0 when it is within
-    `_SPAN_TOL` times the unit 2^k of the hull's state set."""
+    """Distance from p to the affine span of the hull, or 0.0 when it is within the
+    hull's span tolerance: `_SPAN_TOL` times its diameter plus `_SPAN_ULPS` (N + n)
+    ulps of its set's unit 2^k, so it follows the spread of the set, not |x|."""
     eqs = Q.span_equations
     if not len(eqs):
         return 0.0
     viol = float(np.maximum.reduce(np.abs(eqs[:, :-1] @ p - eqs[:, -1])))
-    return viol if viol > math.ldexp(_SPAN_TOL, Q._exp) else 0.0
+    return viol if viol > Q._span_tol else 0.0
 
 
 def min_face(A: StateSet, direction) -> FaceResult:

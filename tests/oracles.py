@@ -3,7 +3,7 @@
 Nothing here may call the code paths under test: entropy maximization is a
 dense grid scan over the constraint slice, hull membership is linear
 programming, fiber maximization is golden-section search, derivatives are
-central differences. `reference_invert` is a frozen copy of the Newton solve
+central differences, and `mp_invert` finds beta by Newton in mpmath. `reference_invert` is a frozen copy of the Newton solve
 as it stood before the start memo and the one-call LAPACK step, for checks
 that a faster solver keeps every bit. `reference_state_set_from_json` and
 `reference_new_state_set` are frozen copies of the state-set checks as they
@@ -206,12 +206,14 @@ ReferenceReport = namedtuple(
 
 def reference_invert(A, target, opts=None):
     """`invert_mean_energy` frozen: every solve recomputes the beta = 0 state,
-    F is recomputed at each iteration, log weights are -(pts @ beta) and each
-    Newton step calls dpotrf and then dpotrs. The feasibility guard, the frame
-    and the error types are the package's; the loop and its kernels are
-    copies, so a change to them cannot move the reference. The entropy is
-    computed eagerly with its own `xlogy` and returned in a `ReferenceReport`,
-    so it checks the report's entropy computed on read."""
+    F is recomputed at each iteration, log weights are -(beta, rows) and each
+    Newton step calls dpotrf and then dpotrs. Its three products (log weights,
+    mean, covariance) run on the (d, N) rows of the frame coordinates, as the
+    solver's do. The feasibility guard, the frame and the error types are the
+    package's; the loop and its kernels are copies, so a change to them cannot
+    move the reference. The entropy is computed eagerly with its own `xlogy`
+    and returned in a `ReferenceReport`, so it checks the report's entropy
+    computed on read."""
     opts = opts or mg.SolveOptions()
     t_full = point_array(target, A.dim)
     hull = mg.convex_hull(A)
@@ -233,20 +235,20 @@ def reference_invert(A, target, opts=None):
     if d == 0:
         return ReferenceReport(mg.CoVector(np.zeros(A.dim)), 0, 0.0, 0.0, True, reduced)
 
-    pts = A._coords
+    rows = np.ascontiguousarray(A._coords.T)
     t = _frame_coords(A, t_full)
     beta = np.zeros(d)
-    log_z, p = _ref_normalized(-(pts @ beta))
+    log_z, p = _ref_normalized(-np.dot(beta, rows))
     iterations = 0
     while True:
-        mean = p @ pts
+        mean = np.dot(rows, p)
         grad = t - mean
         grad_norm = float(np.abs(grad).max()) / hull._unit_diameter
         converged = grad_norm <= opts.grad_tol
         if converged or iterations == opts.max_iter:
             break
         iterations += 1
-        step = reference_newton_step(_ref_covariance(pts, p, mean), grad)
+        step = reference_newton_step(_ref_covariance(rows, p, mean), grad)
         f0 = log_z + float(beta @ t)
         slope = -float(grad @ step)
         slack = 32.0 * np.finfo(float).eps * (1.0 + abs(f0))
@@ -254,7 +256,7 @@ def reference_invert(A, target, opts=None):
         stalled = False
         while True:
             cand = beta - stride * step
-            log_z_c, p_c = _ref_normalized(-(pts @ cand))
+            log_z_c, p_c = _ref_normalized(-np.dot(cand, rows))
             if log_z_c + float(cand @ t) <= f0 + 1e-4 * stride * slope + slack:
                 break
             stride *= 0.5
@@ -281,6 +283,55 @@ def reference_invert(A, target, opts=None):
             report=report,
         )
     return report
+
+
+def mp_invert(points, target, basis, digits=40):
+    """beta with Gibbs mean `target`, by damped Newton in `digits`-digit mpmath.
+
+    `basis` is an (n, d) matrix whose columns span the directions of the points'
+    affine span; beta is sought in that span, and the target's part off the
+    span is dropped. Every double is taken exactly, and the stop is a full step
+    below 10^-(digits - 5) of beta, so the result is the root for the doubles
+    to far more digits than a double holds."""
+    from mpmath import mp
+
+    with mp.workdps(digits):
+        basis = mp.matrix(np.asarray(basis).tolist())
+        x0 = mp.matrix(np.asarray(points[0]).tolist())
+        # span coordinates about the first point, from the doubles taken exactly
+        ys = [basis.T * (mp.matrix(np.asarray(x).tolist()) - x0) for x in points]
+        s = basis.T * (mp.matrix(np.asarray(target).tolist()) - x0)
+        d = basis.cols
+
+        def dual(gamma):
+            """F = log Z + (gamma, s), the Gibbs mean and the covariance at gamma."""
+            logw = [-(gamma.T * y)[0] for y in ys]
+            top = max(logw)
+            w = [mp.exp(lw - top) for lw in logw]
+            z = mp.fsum(w)
+            mean = mp.matrix(d, 1)
+            for wi, y in zip(w, ys):
+                mean += (wi / z) * y
+            cov = mp.matrix(d, d)
+            for wi, y in zip(w, ys):
+                cov += (wi / z) * ((y - mean) * (y - mean).T)
+            return top + mp.log(z) + (gamma.T * s)[0], mean, cov
+
+        gamma = mp.matrix(d, 1)
+        f, mean, cov = dual(gamma)
+        for _ in range(200):
+            step = mp.lu_solve(cov, mean - s)  # F's gradient is s - mean, its Hessian cov
+            if mp.norm(step, mp.inf) <= mp.mpf(10) ** (5 - digits) * (1 + mp.norm(gamma, mp.inf)):
+                return [float(v) for v in basis * (gamma + step)]
+            stride = mp.mpf(1)
+            while True:  # Armijo backtracking; near the root, where F's decrease
+                cand = gamma + stride * step  # falls below its rounding, the full step
+                f_c, mean_c, cov_c = dual(cand)
+                if f_c <= f + stride * (step.T * (s - mean))[0] / 4 or mp.norm(step, mp.inf) < 1e-8:
+                    break
+                stride /= 2
+            gamma, f, mean, cov = cand, f_c, mean_c, cov_c
+        raise RuntimeError("mpmath Newton did not converge")
 
 
 def reference_newton_step(hess, grad):
@@ -317,9 +368,9 @@ def _ref_normalized(log_w):
     return log_z, np.exp(log_w - log_z)
 
 
-def _ref_covariance(pts, p, mean):
-    centered = pts - mean
-    cov = centered.T @ (centered * p[:, None])
+def _ref_covariance(rows, p, mean):
+    centered = rows - mean[:, None]
+    cov = np.dot(centered * p, centered.T)
     return (cov + cov.T) / 2.0
 
 

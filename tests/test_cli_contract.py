@@ -16,14 +16,9 @@ the contract:
 Translation: for an integer set A and an integer vector c, every command gives
 the same exit code on A and on A + c, `invert` with its target moved by c.
 The targets are dyadic, so t + c is exact. This holds for |c| <= 2^40, with
-two exceptions:
-- `check` is held to it for |c| <= 2^20 only: its round trip compares means in
-  caller units, and ulp(2^40) = 2.4e-4 is above its 1e-8 tolerance;
-- an `invert` target off the span of a reduced set by no more than 1e-9 * 2^k,
-  k the binary exponent of the largest |coordinate|, counts as on the span,
-  so it is refused on A but may be solved on A + c. That tolerance follows
-  |x|, not the spread of the set; ROADMAP item 12 makes it follow the spread
-  and deletes this exception.
+one exception: `check` is held to it for |c| <= 2^20 only, because its round
+trip compares means in caller units, and ulp(2^40) = 2.4e-4 is above its 1e-8
+tolerance.
 
 hypothesis runs derandomized with a fixed example budget, so every run draws
 the same examples.
@@ -218,23 +213,9 @@ def test_integer_translates_keep_the_contract_and_the_exit_codes(data):
         doc = {"dim": pts.shape[1], "points": (pts + shift).tolist()}
         for cmd, argv in argvs(shift).items():
             codes.setdefault(cmd, []).append(_check_contract(argv, doc, twice))
-    # the target's distance to the span, the same on A and A + c, against the
-    # span tolerance of A + c (an exception that ROADMAP item 12 removes)
-    target = np.array(_flag(argvs(0.0)["invert"], "--mean").split(","), float)
-    off = _span_distance(pts, target)
-    within = 1e-6 < off <= 2 * math.ldexp(1e-9, math.frexp(np.abs(pts + c).max())[1])
     for cmd, (at_a, at_b) in codes.items():
-        if not (cmd == "check" and np.abs(c).max() > 2**20 or cmd == "invert" and within):
+        if not (cmd == "check" and np.abs(c).max() > 2**20):
             assert at_a == at_b, (cmd, argvs(c)[cmd], pts.tolist(), c.tolist())
-
-
-def _span_distance(pts, t):
-    """Distance from t to the affine span of the points (least squares)."""
-    diffs = (pts[1:] - pts[0]).T
-    if not diffs.size:
-        return float(np.linalg.norm(t - pts[0]))
-    coef = np.linalg.lstsq(diffs, t - pts[0], rcond=None)[0]
-    return float(np.linalg.norm(diffs @ coef - (t - pts[0])))
 
 
 @settings(SETTINGS, max_examples=20)

@@ -338,6 +338,14 @@ def _log_weights_matmul(A, beta):
         return np.ldexp(r - r[h], A._exp + j), -float(b @ A.points[h])
 
 
+def _covariance_by_states(pts, p, mean):
+    """The covariance kernel over (N, d) states, as it was before it took (d, N) rows:
+    the reference every bit of the forward covariance is compared with."""
+    centered = pts - mean
+    cov = centered.T @ (centered * p[:, None])
+    return (cov + cov.T) / 2.0
+
+
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -368,7 +376,9 @@ def test_dot_kernels_keep_the_bits_of_matmul():
                     assert _bits(s.mean_energy) == _bits(mean)
                     assert _bits(s.entropy) == _bits(gibbs._entropy(probs))
                     assert _bits(mg.mean_energy(A, beta)) == _bits(mean)
-                    assert _bits(mg.energy_covariance(A, beta)) == _bits(gibbs._covariance(A.points, probs, mean))
+                    cov = _covariance_by_states(A.points, probs, mean)
+                    assert _bits(mg.energy_covariance(A, beta)) == _bits(cov)
+                    assert _bits(s.covariance) == _bits(cov)
                     assert _bits(mg.positive_point(A, beta).weights) == _bits(np.exp(log_w))
                     cases += 1
     assert cases == 3 * 2 * 3 * 5

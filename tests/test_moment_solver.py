@@ -257,6 +257,20 @@ def test_span_tolerance_in_coordinate_units():
     assert err.value.margin < 0
 
 
+def test_span_tolerance_follows_the_spread():
+    # a target 1 off a single point far from the origin, and off a short line
+    # there: the tolerance follows the set's spread, not its distance to 0
+    for shift in (0.0, 2.0**29):
+        A = mg.new_state_set(4, [[0.0, 0.0, 0.0, shift]])
+        with pytest.raises(mg.TargetOutsideHull, match="target is 1 off the affine span"):
+            mg.invert_mean_energy(A, [1.0, 1.0, 1.0, shift + 1.0])
+        B = mg.new_state_set(2, [[shift, shift], [shift + 1.0, shift + 1.0], [shift + 2.0, shift + 2.0]])
+        with pytest.raises(mg.TargetOutsideHull):
+            mg.invert_mean_energy(B, [shift + 1.0, shift + 1.0 + 2.0**-10])
+        r = mg.invert_mean_energy(B, mg.mean_energy(B, [0.3, -0.1]))
+        assert r.converged and r.reduced
+
+
 def test_reduced_solve_memory_linear_in_states():
     # N=4000 lattice points on a plane in R^3: an N x N factor of the point
     # matrix alone would take 122 MiB
@@ -329,7 +343,7 @@ def test_newton_step_matches_cholesky_wrappers():
             for _ in range(5):
                 pts = rng.normal(size=(d + 3, d)) * scale
                 p = rng.dirichlet(np.ones(d + 3))
-                hess = _covariance(pts, p, p @ pts)
+                hess = _covariance(pts.T, p, p @ pts)
                 grad = rng.normal(size=d) * scale
                 assert _bits(_newton_step(hess, grad)) == _bits(_wrapper_step(hess, grad))
 
@@ -339,8 +353,8 @@ def test_newton_step_matches_cholesky_wrappers():
     deficient = [
         np.array([[1.0, 1.0], [1.0, 1.0]]),
         np.zeros((2, 2)),  # the ridge floor is subnormal; both give [nan, -inf]
-        _covariance(collinear, p, p @ collinear),
-        _covariance(collinear * 1e5, p, p @ collinear * 1e5),
+        _covariance(collinear.T, p, p @ collinear),
+        _covariance(collinear.T * 1e5, p, p @ collinear * 1e5),
         np.diag([1.0, -1e-9]),  # slightly indefinite: the fifth ridge is the first to work
     ]
     for hess in deficient:
@@ -372,13 +386,15 @@ def _two_pass_guard(A, target):
     """Reference: the feasibility guard as two passes, the solver's span test
     and then a full `interior_margin` that coerces and tests the target again
     and computes its own facet norms. Returns the margin or raises what the
-    solver raises. A span violation counts above 1e-9 times the set's unit 2^k."""
+    solver raises. A span violation counts above 1e-9 times the diameter plus
+    4 (N + n) ulps of the set's unit 2^k."""
     unit = 2.0 ** math.frexp(float(np.abs(A.points).max()))[1]
 
     def span_violation(Q, p):
         eqs = Q.span_equations
         viol = float(np.abs(eqs[:, :-1] @ p - eqs[:, -1]).max(initial=0.0))
-        return viol if viol > 1e-9 * unit else 0.0
+        tol = 1e-9 * Q.diameter + 4 * (len(A) + A.dim) * np.finfo(float).eps * unit
+        return viol if viol > tol else 0.0
 
     t = point_array(target, A.dim)
     Q = mg.convex_hull(A)
@@ -587,6 +603,38 @@ def test_solver_matches_frozen_reference(monkeypatch):
     assert backtracks > 0
 
 
+def _oracle_sets():
+    """Seeded sets of affine dimension 1 to 6, scattered and lattice ones away
+    from the origin, and one reduced: dimension 3 in R^5."""
+    rng = np.random.Generator(np.random.Philox(key=2323))
+    for d in range(1, 7):
+        yield rng.normal(size=(d + 8, d)) * 10.0 ** rng.integers(-2, 3)
+        yield np.unique(rng.integers(-4, 5, size=(3 * d + 6, d)), axis=0).astype(float) + 1000.0
+    yield rng.normal(size=(12, 3)) @ rng.normal(size=(5, 3)).T + rng.normal(size=5)
+
+
+def test_solved_beta_matches_a_40_digit_root():
+    # an independent check of the frozen reference: beta against mpmath's root
+    # for the same doubles. The worst errors are 7.6e-9 and 2.9e-12, for the
+    # (d, N) kernels and the (N, d) ones alike: the stop's 1e-10 of the
+    # diameter bounds the gradient, not beta, and at grad_tol 1e-13 the last
+    # Newton step is taken
+    rng = np.random.Generator(np.random.Philox(key=2324))
+    reduced = 0
+    for pts in _oracle_sets():
+        A = mg.new_state_set(pts.shape[1], pts)
+        reduced += A.affine_dim < A.dim
+        spread = np.abs(A.points - A.points[0]).max()
+        for scale in (0.3, 3.0):
+            t = mg.mean_energy(A, rng.normal(size=A.dim) * scale / spread)
+            root = np.array(oracles.mp_invert(A.points, t, affine_frame(A)[1]))
+            for opts, bound in ((None, 1e-8), (mg.SolveOptions(grad_tol=1e-13), 1e-11)):
+                r = mg.invert_mean_energy(A, t, opts)
+                assert r.converged
+                assert np.abs(r.beta.components - root).max() <= bound * np.abs(root).max()
+    assert reduced == 1
+
+
 def test_start_memo_is_not_part_of_the_value():
     pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 3.0]]
     A = mg.new_state_set(2, pts)
@@ -603,6 +651,10 @@ def test_start_memo_is_not_part_of_the_value():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+    # the last entry is the frame coordinates as contiguous (d, N) rows, which Newton reads
+    rows = A._start[-1]
+    assert rows.flags.c_contiguous and rows.shape == (A.affine_dim, len(A))
+    assert rows.tobytes() == np.ascontiguousarray(A._coords.T).tobytes()
 
 
 def _start_bits(A):
@@ -641,3 +693,7 @@ def test_start_memo_shared_across_threads():
     assert len(seen) == 6 * len(shared)
     assert all(bits == expected[i][0] for i, bits in seen)
     assert [_start_bits(A) for A in shared] == [e[1] for e in expected]
+    # every thread read one rows array per set: read-only, with the bits of a lone solve
+    for A, (_, bits) in zip(shared, expected):
+        assert not A._start[-1].flags.writeable
+        assert A._start[-1].tobytes() == bits[-1]
