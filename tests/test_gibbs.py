@@ -382,3 +382,17 @@ def test_dot_kernels_keep_the_bits_of_matmul():
                     assert _bits(mg.positive_point(A, beta).weights) == _bits(np.exp(log_w))
                     cases += 1
     assert cases == 3 * 2 * 3 * 5
+
+
+def test_covariance_of_rows_keeps_the_bits_of_the_state_layout():
+    # the kernel on the view points.T, as the forward path calls it, at every
+    # affine dimension the solver takes, against the (N, d) formula
+    rng = np.random.Generator(np.random.Philox(key=2321))
+    for d in range(1, 7):
+        for N in (2, 7, 1600):
+            for scale in (1e-3, 1.0, 1e5):
+                pts = rng.normal(size=(N, d)) * scale
+                p = rng.dirichlet(np.ones(N))
+                mean = np.dot(p, pts)
+                got = gibbs._covariance(pts.T, p, mean)
+                assert _bits(got) == _bits(_covariance_by_states(pts, p, mean))
