@@ -205,7 +205,7 @@ def solve_gradient(A: StateSet, target, opts: SolveOptions | None = None) -> CoV
     return invert_mean_energy(A, target, opts).beta
 
 
-def _newton_step(hess: np.ndarray, grad: np.ndarray, dposv=None) -> np.ndarray:
+def _newton_step(hess: np.ndarray, grad: np.ndarray, dposv) -> np.ndarray:
     """Solve hess @ s = grad by Cholesky, adding a scaled ridge if it fails.
 
     One dposv call runs dpotrf and dpotrs with the arguments cho_factor and cho_solve pass,
@@ -216,7 +216,6 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray, dposv=None) -> np.ndarray:
     dposv is `_scipy_kernel`'s, from scipy.linalg's compiled module with no scipy package;
     a solve looks it up once and passes it to each step.
     """
-    dposv = dposv or _scipy_kernel("dposv")
     a = hess
     reg = 0.0
     for _ in range(40):

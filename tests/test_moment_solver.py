@@ -10,7 +10,7 @@ import pytest
 
 import momentgibbs as mg
 from momentgibbs import errors, moment_solver
-from momentgibbs.gibbs import _covariance
+from momentgibbs.gibbs import _covariance, _scipy_kernel
 import oracles
 from momentgibbs.moment_solver import _newton_step
 from momentgibbs.state_space import affine_frame, point_array
@@ -309,6 +309,11 @@ def test_solve_options_validation():
         mg.SolveOptions(max_iter=0)
 
 
+def _solver_step(hess, grad):
+    """`_newton_step` with the dposv that a solve looks up once and passes it."""
+    return _newton_step(hess, grad, _scipy_kernel("dposv"))
+
+
 def _wrapper_step(hess, grad):
     """The Newton step as computed through scipy's cho_factor/cho_solve."""
     from scipy.linalg import cho_factor, cho_solve
@@ -345,7 +350,7 @@ def test_newton_step_matches_cholesky_wrappers():
                 p = rng.dirichlet(np.ones(d + 3))
                 hess = _covariance(pts.T, p, p @ pts)
                 grad = rng.normal(size=d) * scale
-                assert _bits(_newton_step(hess, grad)) == _bits(_wrapper_step(hess, grad))
+                assert _bits(_solver_step(hess, grad)) == _bits(_wrapper_step(hess, grad))
 
     # rank-deficient Hessians, which only a ridge makes positive definite
     collinear = np.outer(np.arange(6.0), [1.0, 2.0, -0.5])
@@ -360,10 +365,10 @@ def test_newton_step_matches_cholesky_wrappers():
     for hess in deficient:
         assert _needs_ridge(hess)
         grad = rng.normal(size=hess.shape[0])
-        assert _bits(_newton_step(hess, grad)) == _bits(_wrapper_step(hess, grad))
+        assert _bits(_solver_step(hess, grad)) == _bits(_wrapper_step(hess, grad))
 
     # no ridge in the sequence helps a negative definite matrix
-    for step in (_newton_step, _wrapper_step):
+    for step in (_solver_step, _wrapper_step):
         with pytest.raises(np.linalg.LinAlgError):
             step(-np.eye(2), np.ones(2))
 
@@ -377,7 +382,7 @@ def test_newton_step_refuses_non_finite_input():
         diagonal = spd.copy()
         diagonal[1, 1] = bad
         for hess, grad in ((upper, np.ones(2)), (diagonal, np.ones(2)), (spd, np.array([1.0, bad]))):
-            for step in (_newton_step, _wrapper_step):
+            for step in (_solver_step, _wrapper_step):
                 with pytest.raises(ValueError, match=message):
                     step(hess, grad)
 

@@ -1,6 +1,6 @@
 """Byte and ulp report of the CLI payloads of two trees, over one argv corpus.
 
-    python tools/payload_diff.py --base REV [--seeds 7,11] [--fast]
+    python tools/payload_diff.py --base REV
     python tools/payload_diff.py --digest
 
 Run it from anywhere inside a momentgibbs checkout. `--base` exports REV with
@@ -19,12 +19,12 @@ The corpus is generated, and every document goes to `cli.main` on stdin:
   10**400, non-UTF-8 bytes, d = 7, the `limit` overflow sets, a span target
   next to a far point and the same set moved by 2^40, and a forked `sweep`
   whose first failing step is not in its first block;
-- with the seeds: the `cli-small` and `cli-large` argvs of
-  perfbench/workloads.py, and `invert` on its `invert-hull` lattice sets
-  (affine dimension 2 to 6, N up to 1600), one argv per target.
+- for each of the benchmark seeds in SEEDS: the `cli-small` and `cli-large`
+  argvs of perfbench/workloads.py, and `invert` on its `invert-hull` lattice
+  sets (affine dimension 2 to 6, N up to 1600), one argv per target.
 
-`--fast` keeps the first three parts, which run in about a second. `--digest`
-prints the sha256 of their exit codes and output on this checkout, the value
+The first three parts run in about a second. `--digest` prints the sha256 of
+their exit codes and output on this checkout, the value
 tests/test_payload_digest.py pins.
 """
 
@@ -49,6 +49,7 @@ from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (7, 11)  # the benchmark seeds whose workload argvs join the corpus
 
 # edge documents beyond tests/test_cli.py's, as (document bytes, argvs after "-")
 _EXTRA_DOCS = {
@@ -115,14 +116,14 @@ def fast_corpus() -> list:
     return cases
 
 
-def corpus(seeds: list[int], workdir: Path) -> list:
-    """`fast_corpus` and, for each seed, the benchmark's CLI argvs and one `invert`
-    per `invert-hull` target."""
+def corpus(workdir: Path) -> list:
+    """`fast_corpus` and, for each of SEEDS, the benchmark's CLI argvs and one
+    `invert` per `invert-hull` target."""
     cases = fast_corpus()
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    for seed in seeds:
+    for seed in SEEDS:
         for workload in ("cli-small", "cli-large", "invert-hull"):
             spec = workloads.make_spec(workload, seed, ROOT, workdir / f"{workload}-{seed}")
             label = f"{workload}/{seed}"
@@ -313,8 +314,6 @@ def _run_tree(src: Path, corpus_path: Path, out_path: Path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git revision to compare this checkout with")
-    parser.add_argument("--seeds", default="7,11", help="benchmark seeds of the corpus (default 7,11)")
-    parser.add_argument("--fast", action="store_true", help="only the corpus part that the digest covers")
     parser.add_argument("--digest", action="store_true", help="print the digest of the fast corpus here")
     parser.add_argument("--run", nargs=3, metavar=("SRC", "CORPUS", "OUT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -342,18 +341,17 @@ def main(argv=None) -> int:
         parser.error(archive.stderr.decode().strip())
     rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
                          check=True, capture_output=True, text=True).stdout.strip()
-    seeds = [] if args.fast else [int(s) for s in args.seeds.split(",") if s]
     with tempfile.TemporaryDirectory(prefix="payload-diff-") as tmp:
         tmp = Path(tmp)
         (tmp / "base").mkdir()
         subprocess.run(["tar", "-x", "-C", str(tmp / "base")], input=archive.stdout, check=True)
-        cases = corpus(seeds, tmp / "sets")
+        cases = corpus(tmp / "sets")
         (tmp / "corpus.pkl").write_bytes(pickle.dumps(cases))
         results = []
         for src, name in ((tmp / "base" / "src", "base.pkl"), (ROOT / "src", "head.pkl")):
             _run_tree(src, tmp / "corpus.pkl", tmp / name)
             results.append(pickle.loads((tmp / name).read_bytes()))
-    print(f"base {rev} against the checkout at {ROOT}, seeds {seeds or 'none'}")
+    print(f"base {rev} against the checkout at {ROOT}, seeds {SEEDS}")
     return 1 if report(cases, *results) else 0
 
 if __name__ == "__main__":
