@@ -10,11 +10,10 @@ imports the layers it uses in its own body, so a process loads only its
 command's modules. The exit-code mapping lives in one place, the `_command`
 error boundary that wraps every command (and `main` exits 2 on unreadable
 input or invalid JSON). `--steps`, `--points` and `--total` are capped, so
-every op finishes in seconds. On Linux, `sweep` splits its steps into one
-contiguous block per usable core, once the states x steps repay a fork, and
-computes all but the first in forked children; every step keeps its bits and
-the first failing step is reported, so the CSV and the error payload are those
-of the serial loop.
+every op finishes in seconds. `sweep` hands its steps to the Gibbs kernel in
+blocks of rows; each row has the bits of `forward` at its beta, and the first
+failing step is the one reported, so the CSV and the error payload are those
+of a loop over the steps.
 """
 
 from __future__ import annotations
@@ -24,18 +23,15 @@ import functools
 import gc
 import json
 import math
-import os
-import pickle
 import re
 import sys
-import threading
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InvalidTotal, NoConvergence, TargetOnBoundary, TargetOutsideHull
-from .state_space import StateSet, state_set_from_json
+from .state_space import StateSet, covector_array, state_set_from_json
 
 SCHEMA = "moment-gibbs/v1"
 
@@ -46,9 +42,8 @@ _CHECK_ROUNDTRIP_TOL = 1e-8
 _MAX_STEPS = 10_000
 _MAX_POINTS = 1_000
 _MAX_TOTAL = 10**8
-# states x steps of a sweep per forked process: 10-13 ms of steps at 40-50 ns each,
-# two to four times a fork's round trip (2.6-6.5 ms) on a 2-vCPU Xeon
-_FORK_WORK = 1 << 18
+# betas per call of the Gibbs kernel in `sweep`: its (rows, N) temporaries stay in cache
+_SWEEP_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -200,7 +195,7 @@ def cmd_sweep(
     A: StateSet, axis: int, start: float, stop: float, steps: int, fixed: str | None = None
 ) -> CommandResult:
     """CSV table of mean energy, entropy, and log Z along one beta axis."""
-    from .gibbs import gibbs_summary
+    from .gibbs import _gibbs
 
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
@@ -217,100 +212,19 @@ def cmd_sweep(
     if len(held) != A.dim - 1:
         raise ValueError(f"fixed needs {A.dim - 1} components, got {len(held)}")
 
-    header = ",".join(
-        ["beta_axis"] + [f"mean_{i + 1}" for i in range(A.dim)] + ["entropy", "log_z"]
-    )
-    beta = np.empty(A.dim)
-    beta[np.arange(A.dim) != axis] = held
-
-    def rows(values: np.ndarray) -> list[str]:
-        lines = []
-        for value in values:
-            beta[axis] = value
-            s = gibbs_summary(A, beta)
-            lines.append(",".join(_fmt(c) for c in [value, *s.mean_energy, s.entropy, s.log_z]))
-        return lines
-
-    blocks = np.array_split(np.linspace(start, stop, steps), _processes(steps * len(A)))
-    return CommandResult(0, "\n".join([header, *chain.from_iterable(_forked_map(rows, blocks))]))
-
-
-def _processes(work: int) -> int:
-    """Processes for `work` states x steps: one per usable core, and one per
-    _FORK_WORK of work at most. One off Linux, and one while other threads run:
-    a forked child has only the forking thread, and a lock another thread held
-    stays locked in it."""
-    if sys.platform != "linux" or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), work // _FORK_WORK))
-
-
-def _forked_map(compute, blocks: list) -> list:
-    """[compute(block) for block in blocks], the first block in this process and
-    each other one in a forked child, all at once.
-
-    A child pickles its result, or the exception its block raised, into a pipe
-    and leaves with os._exit. The results are read in block order and the first
-    exception is raised, so the outcome is that of the serial loop. A block whose
-    fork failed, or whose child left no result, is computed here. Every child is
-    reaped before return, and killed first when this process raises.
-    """
-    children = [_fork(compute, block) for block in blocks[1:]]
-    try:
-        results = [compute(blocks[0])]
-        for block, child in zip(blocks[1:], children):
-            value = _receive(child[1]) if child else None
-            if value is None:  # no child, or a child that left no result
-                value = compute(block)
-            if isinstance(value, Exception):
-                raise value
-            results.append(value)
-        return results
-    except BaseException:
-        import signal  # here only: no other path needs it, and every command's start-up would load it
-
-        for pid, _ in filter(None, children):
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, fd in filter(None, children):
-            os.close(fd)
-            os.waitpid(pid, 0)
-
-
-def _fork(compute, block):
-    """(pid, read end of its pipe) of a child that computes `block`, or None if fork fails."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid:
-        os.close(write)
-        return pid, read
-    code = 1  # the child, which never returns: exit 1 leaves no result
-    try:
-        os.close(read)
-        try:
-            outcome = compute(block)
-        except Exception as exc:
-            outcome = exc
-        with open(write, "wb") as pipe:
-            pickle.dump(outcome, pipe)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _receive(fd: int):
-    """The result or exception a child pickled into fd, or None if it left none."""
-    try:
-        with open(fd, "rb", closefd=False) as pipe:
-            return pickle.load(pipe)
-    except Exception:  # empty or cut short: the child died
-        return None
+    betas = np.empty((steps, A.dim))
+    betas[:, axis] = np.linspace(start, stop, steps)
+    betas[:, np.arange(A.dim) != axis] = held
+    # checked as each step's covector: a range whose width overflows makes only the first NaN
+    covector_array(betas.ravel(), betas.size)
+    lines = [",".join(["beta_axis", *(f"mean_{i + 1}" for i in range(A.dim)), "entropy", "log_z"])]
+    for i in range(0, steps, _SWEEP_ROWS):
+        block = betas[i : i + _SWEEP_ROWS]
+        _, _, mean, entropy, log_z = _gibbs(A, block)
+        # row by row, as a step loop would: the first non-finite value is the one refused
+        table = np.column_stack([block[:, axis], mean, entropy, log_z]).tolist()
+        lines += [",".join(map(_fmt, row)) for row in table]
+    return CommandResult(0, "\n".join(lines))
 
 
 @_command

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSplit, NotNegativeDefinite
-from .gibbs import _entropy, _log_weights, _normalized, _scipy_kernel, mean_energy
+from .gibbs import _at, _entropy, _normalized, _scipy_kernel, mean_energy
 from .moment_solver import SolveOptions, invert_mean_energy
 from .state_space import StateSet, _float_array, _read_only, _value_eq, point_array
 
@@ -60,10 +60,10 @@ def legendre_residual(A: StateSet, beta) -> float:
     about the heaviest state h, where the (beta, x_h) in both terms cancels
     exactly, so a translate gives the same residual; (beta, mean - x_h) is minus
     the mean log-weight (a weight of 0 may have log-weight -inf). Below 1e-10 in
-    magnitude for desk-scale point sets with ||beta|| <= 20."""
-    log_w, _ = _log_weights(A, beta)
-    log_z, p = _normalized(log_w)
-    return _entropy(p) + float(p @ np.where(p > 0, log_w, 0.0)) - log_z
+    magnitude for desk-scale point sets with ||beta|| <= 20. Its own entropy (``xlogy``)
+    and log-sum check the kernel's weights, not the kernel's delta and S against each other."""
+    log_w, p = _at(A, beta)[:2]
+    return _entropy(p) + float(p @ np.where(p > 0, log_w, 0.0)) - _normalized(log_w)[0]
 
 
 def legendre_roundtrip(A: StateSet, target, opts: SolveOptions | None = None) -> float:

@@ -1,11 +1,19 @@
 """Forward thermodynamics: partition function, Gibbs weights, moments, entropy.
 
-Log-weights are formed in the state set's unit, about its heaviest state, and
-summed in log-sum-exp form: finite for any finite beta, the same for a
-translated set; only log Z carries the shift, the heaviest state's -(beta, x).
+One kernel, `_gibbs`, computes them for an (s, n) block of betas; one beta is a
+block of one row. A row's log-weights l are formed about its heaviest state h:
+a candidate a is picked in the set's frame, x - x_a is taken in the unit 2^k,
+and the result is shifted about h. So a weight rounds with its distance to h,
+and a translate gives the same weights; only log Z carries -(beta, x_h). One
+`exp` pass gives E = e^l with E_h = 0, delta = log1p(sum E), p = E e^-delta
+(p_h = e^-delta), log Z = delta - (beta, x_h) and S = delta - sum p l, which keep
+their relative precision at low temperature, where log(sum e^l) rounds delta
+away and -sum p log p drops h's term. Each product is elementwise, summing the
+coordinates in a fixed order, or stacked, so a row's bits do not depend on its block.
 
-The entropy's ``xlogy`` loads on its first use from scipy's compiled module,
-with no scipy package (`_scipy_kernel`): callers that never need it load none.
+The ``xlogy`` of `entropy(Distribution)` loads on its first use from scipy's
+compiled module, with no scipy package (`_scipy_kernel`): callers that never
+need it load none.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from importlib.util import module_from_spec
 import numpy as np
 
 from .errors import LengthMismatch
-from .state_space import Observable, StateSet, _float_array, _read_only, _unit_covector, _value_eq, covector_array
+from .state_space import Observable, StateSet, _float_array, _read_only, _value_eq, covector_array
 
 
 @dataclass(frozen=True)
@@ -75,23 +83,54 @@ class GibbsSummary:
         return _covariance(p.parent.points.T, p.probs, self.mean_energy)
 
 
-def _log_weights(A: StateSet, beta) -> tuple[np.ndarray, float]:
-    """The log-weights -(beta, x - x_h) about the heaviest state h, all <= 0, and the
-    shift -(beta, x_h) they share: log Z is their log-sum plus it. x - x_h is taken in
-    the unit 2^k and beta in its own 2^j, so a weight rounds with its distance to h
-    and nothing overflows before 2^(k + j). The same bits on an integer translate.
-    np.dot, not @: at d = 1, @ takes a non-BLAS loop several times slower, for the same bits."""
-    b = covector_array(beta, A.dim)
-    b_unit, j = _unit_covector(b)
-    a = np.dot(A._coords, -(b_unit @ A._span)).argmax()  # heaviest up to the frame's rounding
-    r = np.dot(-b_unit, A._unit_t - A._unit_t[:, a : a + 1])
-    h = r.argmax()
-    with np.errstate(over="ignore"):  # a weight below the float range: -inf, a zero weight
-        return np.ldexp(r - r[h], A._exp + j), -float(b @ A.points[h])
+def _gibbs(A: StateSet, betas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(log-weights, weights, mean, entropy, log Z) of each row of an (s, n) block of
+    finite betas: (s, N), (s, N), (s, n), (s,) and (s,) arrays. beta is scaled to its
+    own unit 2^j, so nothing overflows before 2^(k + j); the exponents stay int32,
+    which `ldexp` takes in its fast loop."""
+    rows = np.arange(len(betas))
+    j = np.frexp(np.abs(betas).max(axis=1))[1]
+    nb = -np.ldexp(betas, -j[:, None])
+    v = np.matmul(nb[:, None], A._span)[:, 0]  # -beta on the span
+    C, U = A._coords, A._unit_t
+    score = C[:, 0] * v[:, :1] if A.affine_dim else np.zeros((len(betas), 1))  # one state
+    for c in range(1, A.affine_dim):
+        score += C[:, c] * v[:, c, None]
+    a = score.argmax(axis=1)  # heaviest up to the frame's rounding
+    r = np.subtract(U[0], U[0, a][:, None])
+    r *= nb[:, :1]
+    for k in range(1, A.dim):
+        t = np.subtract(U[k], U[k, a][:, None], out=score)
+        t *= nb[:, k, None]
+        r += t
+    h = r.argmax(axis=1)
+    r -= r[rows, h][:, None]
+    e = A._exp + j
+    # a weight below the float range is -inf, a zero weight; a (beta, x_h) beyond it is
+    # not a double, and the caller refuses the log Z
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_w = np.ldexp(r, e[:, None])
+        shift = -np.matmul(betas[:, None], A.points[h][:, :, None])[:, 0, 0]
+    p = np.exp(log_w)
+    p[rows, h] = 0.0
+    delta = np.log1p(p.sum(axis=1))
+    p_h = np.exp(-delta)
+    p *= p_h[:, None]
+    p[rows, h] = p_h
+    mean = np.matmul(p[:, None], A.points)[:, 0]
+    # sum p l in the unit, where no l is -inf: a zero weight adds 0, not 0 * -inf
+    entropy = delta - np.ldexp(np.matmul(p[:, None], r[:, :, None])[:, 0, 0], e)
+    return log_w, p, mean, entropy, delta + shift
+
+
+def _at(A: StateSet, beta) -> tuple:
+    """`_gibbs` at one beta (a CoVector or array-like, checked): each quantity's row."""
+    return tuple(x[0] for x in _gibbs(A, covector_array(beta, A.dim)[None]))
 
 
 def _normalized(log_w: np.ndarray) -> tuple[float, np.ndarray]:
-    # max-shift keeps the sum finite; log_w - log_z <= 0 so exp never overflows
+    """log Z and the weights of log_w, for the solver and `legendre_residual`: max-shift
+    keeps the sum finite; log_w - log_z <= 0 so exp never overflows."""
     m = float(np.maximum.reduce(log_w))
     log_z = m + float(np.log(np.add.reduce(np.exp(log_w - m))))
     return log_z, np.exp(log_w - log_z)
@@ -133,14 +172,12 @@ def _entropy(p: np.ndarray) -> float:
 
 def log_partition(A: StateSet, beta) -> float:
     """log of the Boltzmann sum over states, sum_w exp(-(beta, w))."""
-    log_w, shift = _log_weights(A, beta)
-    return _normalized(log_w)[0] + shift
+    return float(_at(A, beta)[4])
 
 
 def gibbs_distribution(A: StateSet, beta) -> Distribution:
     """Probabilities proportional to exp(-(beta, w)); all strictly positive."""
-    _, p = _normalized(_log_weights(A, beta)[0])
-    return Distribution(p, A)
+    return Distribution(_at(A, beta)[1], A)
 
 
 def mean_observable(p: Distribution, obs: Observable) -> float:
@@ -153,8 +190,7 @@ def mean_observable(p: Distribution, obs: Observable) -> float:
 def mean_energy(A: StateSet, beta) -> np.ndarray:
     """Mean of the energy points; equals minus the gradient of
     `log_partition` in beta, and always lies strictly inside the hull."""
-    _, p = _normalized(_log_weights(A, beta)[0])
-    return np.dot(p, A.points)
+    return _at(A, beta)[2]
 
 
 def energy_covariance(A: StateSet, beta) -> np.ndarray:
@@ -164,8 +200,7 @@ def energy_covariance(A: StateSet, beta) -> np.ndarray:
     points affinely span R^dim. This is also the Hessian of `log_partition`
     and minus the Jacobian of `mean_energy`.
     """
-    _, p = _normalized(_log_weights(A, beta)[0])
-    return _covariance(A.points.T, p, np.dot(p, A.points))
+    return _covariance(A.points.T, *_at(A, beta)[1:3])  # the weights and the mean
 
 
 def entropy(p: Distribution) -> float:
@@ -174,8 +209,7 @@ def entropy(p: Distribution) -> float:
 
 
 def gibbs_summary(A: StateSet, beta) -> GibbsSummary:
-    """All forward quantities from a single pass over the states; the
-    covariance is computed from the summary's weights on each read."""
-    log_w, shift = _log_weights(A, beta)
-    log_z, probs = _normalized(log_w)
-    return GibbsSummary(log_z + shift, Distribution(probs, A), np.dot(probs, A.points), _entropy(probs))
+    """All forward quantities from one call of the kernel; the covariance is
+    computed from the summary's weights on each read."""
+    _, probs, mean, s, log_z = _at(A, beta)
+    return GibbsSummary(float(log_z), Distribution(probs, A), mean, float(s))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroWeights, LengthMismatch
-from .gibbs import _log_weights
+from .gibbs import _at
 from .state_space import StateSet, _float_array, _read_only, _value_eq
 
 
@@ -44,7 +44,7 @@ def positive_point(A: StateSet, beta) -> WeightVector:
     """The point (exp(-(beta, w)))_w, rescaled so the largest weight is 1: a
     projective no-op, which drops the shift -(beta, x_h) that every weight
     shares and keeps the representation finite for any finite beta."""
-    return WeightVector(np.exp(_log_weights(A, beta)[0]))
+    return WeightVector(np.exp(_at(A, beta)[0]))
 
 
 def projective_moment(A: StateSet, w: WeightVector) -> np.ndarray:
@@ -66,5 +66,5 @@ def moment_of_beta(A: StateSet, beta) -> np.ndarray:
     up to rounding; the squaring doubles the log-weights about the heaviest state, not beta.
     """
     with np.errstate(over="ignore"):  # a square below the float range is a zero weight
-        w = np.exp(2.0 * _log_weights(A, beta)[0])
+        w = np.exp(2.0 * _at(A, beta)[0])
     return projective_moment(A, WeightVector(w))

@@ -3,7 +3,8 @@
 Nothing here may call the code paths under test: entropy maximization is a
 dense grid scan over the constraint slice, hull membership is linear
 programming, fiber maximization is golden-section search, derivatives are
-central differences, and `mp_invert` finds beta by Newton in mpmath. `reference_invert` is a frozen copy of the Newton solve
+central differences, `mp_invert` finds beta by Newton in mpmath, and
+`mp_log_z_entropy` sums the Gibbs weights in mpmath. `reference_invert` is a frozen copy of the Newton solve
 as it stood before the start memo and the one-call LAPACK step, for checks
 that a faster solver keeps every bit. `reference_state_set_from_json` and
 `reference_new_state_set` are frozen copies of the state-set checks as they
@@ -332,6 +333,24 @@ def mp_invert(points, target, basis, digits=40):
                 stride /= 2
             gamma, f, mean, cov = cand, f_c, mean_c, cov_c
         raise RuntimeError("mpmath Newton did not converge")
+
+
+def mp_log_z_entropy(points, beta, digits=100):
+    """(log Z, entropy) at beta in `digits`-digit mpmath, from the doubles taken exactly.
+
+    With h the heaviest state and l_i = (beta, x_h - x_i), log Z = -(beta, x_h) + delta
+    and S = delta - sum_i p_i l_i, delta = log1p(sum_{i != h} e^l_i): exact identities,
+    and in this form no term is lost to the working precision however small it is."""
+    from mpmath import mp
+
+    with mp.workdps(digits):
+        pairings = [mp.fsum(mp.mpf(float(b)) * mp.mpf(float(x)) for b, x in zip(beta, pt)) for pt in points]
+        h = min(range(len(pairings)), key=pairings.__getitem__)
+        logw = [pairings[h] - q for q in pairings]
+        w = [mp.exp(lw) for lw in logw]
+        delta = mp.log1p(mp.fsum(w[:h] + w[h + 1 :]))
+        entropy = delta - mp.fsum(wi * lw for wi, lw in zip(w, logw)) / mp.exp(delta)
+        return -pairings[h] + delta, entropy
 
 
 def reference_newton_step(hess, grad):

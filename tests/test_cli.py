@@ -7,7 +7,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import threading
 import tracemalloc
 import types
 
@@ -121,14 +120,25 @@ def test_sweep_error_in_the_loop_exits_2():
     assert err == {"type": "ValueError", "message": "a result is -inf, which is not a finite double"}
     assert res.diagnostics == ("ValueError: a result is -inf, which is not a finite double",)
     assert cli.cmd_forward(doc, "1e200").exit_code == 2
+    # log Z leaves the float range inside the second block, not at its first row
+    A = state_set_from_json(doc)
+    values = np.linspace(0.0, 3e108, 40)
+    first = next(i for i, b in enumerate(values) if not math.isfinite(gibbs_summary(A, [b]).log_z))
+    assert cli._SWEEP_ROWS < first < 2 * cli._SWEEP_ROWS - 1
+    res = cli.cmd_sweep(doc, 0, 0.0, 3e108, 40)
+    assert res.diagnostics == ("ValueError: a result is -inf, which is not a finite double",)
+    # a range whose width overflows: the first step's beta is NaN, as in a step loop
+    res = cli.cmd_sweep(doc, 0, -1.7e308, 1.7e308, 3 * cli._SWEEP_ROWS)
+    assert res.diagnostics == ("ValueError: covector components must be finite",)
 
 
 def _summary_csv(doc, axis, start, stop, steps, fixed):
     """The sweep's CSV, built step by step from gibbs_summary."""
     A = state_set_from_json(doc)
-    lines = ["beta_axis,mean_1,mean_2,entropy,log_z"]
+    lines = [",".join(["beta_axis", *(f"mean_{i + 1}" for i in range(A.dim)), "entropy", "log_z"])]
+    held = [float(v) for v in fixed.split(",")]
     for value in np.linspace(start, stop, steps):
-        s = gibbs_summary(A, np.insert([float(fixed)], axis, value))
+        s = gibbs_summary(A, np.insert(held, axis, value))
         lines.append(",".join(cli._fmt(c) for c in [value, *s.mean_energy, s.entropy, s.log_z]))
     return "\n".join(lines)
 
@@ -138,160 +148,71 @@ def _plane_doc():
     return {"dim": 2, "points": (rng.normal(size=(500, 2)) * [3.0, 0.5]).tolist()}
 
 
+def _reduced_doc():
+    """A set of affine dimension 3 in R^5, off the origin, with an odd state count."""
+    rng = np.random.Generator(np.random.Philox(key=46))
+    coeffs = rng.integers(-20, 21, size=(301, 3))
+    embed = rng.integers(-3, 4, size=(3, 5))
+    return {"dim": 5, "points": np.unique(coeffs @ embed + [7, -1, 0, 2, 5], axis=0).tolist()}
+
+
 def test_sweep_matches_gibbs_summary():
-    doc = _plane_doc()
-    for axis, fixed in ((0, "0.7"), (1, "-1.5")):
-        res = cli.cmd_sweep(doc, axis, -4.0, 3.0, 41, fixed)
-        assert res.exit_code == 0
-        assert res.payload == _summary_csv(doc, axis, -4.0, 3.0, 41, fixed)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Sweeps fork at any size: returns a function that sets the usable cores and
-    the list that counts this process's forks."""
-    monkeypatch.setattr(cli, "_FORK_WORK", 1)
-    calls, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
-
-    def cores(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        return calls
-
-    return cores
-
-
-@pytest.mark.parametrize("blocks", [2, 3])
-def test_forked_sweep_matches_gibbs_summary(forks, blocks):
-    calls = forks(blocks)
-    doc = _plane_doc()
-    for axis, fixed, steps in ((0, "0.7", 41), (1, "-1.5", 2), (0, "0.0", 3)):
-        calls.clear()
+    # each row of the kernel's blocks has the bits of a one-row call, at every
+    # place in a block and in a last block of any length
+    rows = cli._SWEEP_ROWS
+    for doc, axis, fixed, steps in (
+        (_plane_doc(), 0, "0.7", 41),
+        (_plane_doc(), 1, "-1.5", 3 * rows + 5),
+        (_plane_doc(), 0, "0.0", 2),
+        (_reduced_doc(), 2, "0.3,-0.2,0.05,0.1", 3 * rows),
+        (_reduced_doc(), 4, "-0.4,0,0.25,1e-3", 4 * rows + 1),
+    ):
+        assert state_set_from_json(doc).affine_dim in (2, 3)
         res = cli.cmd_sweep(doc, axis, -4.0, 3.0, steps, fixed)
-        assert res.exit_code == 0 and len(calls) == blocks - 1
+        assert res.exit_code == 0
         assert res.payload == _summary_csv(doc, axis, -4.0, 3.0, steps, fixed)
-        _no_child_left()
 
 
 def _failing_at(monkeypatch, failures: dict):
-    """gibbs_summary raising failures[beta[0]] at those values of beta[0]."""
+    """The Gibbs kernel raising failures[b] for the first beta[0] = b of its block
+    that failures names, as a step loop would at that step."""
     from momentgibbs import gibbs
 
-    summary = gibbs.gibbs_summary
+    kernel = gibbs._gibbs
 
-    def failing(A, beta):
-        if beta[0] in failures:
-            raise failures[beta[0]]
-        return summary(A, beta)
+    def failing(A, betas):
+        for b in betas[:, 0]:
+            if b in failures:
+                raise failures[b]
+        return kernel(A, betas)
 
-    monkeypatch.setattr(gibbs, "gibbs_summary", failing)
+    monkeypatch.setattr(gibbs, "_gibbs", failing)
 
 
 @pytest.mark.parametrize(
     "failures",
     [
-        {0.75: ValueError("step 0.75 fails")},  # in the last child's block only
+        {0.75: ValueError("step 0.75 fails")},  # in the third block only
         {0.0: ValueError("step 0 fails"), 0.75: ValueError("step 0.75 fails")},  # the first is reported
-        {-0.5: ValueError("this process's block"), 0.25: ValueError("a child's block")},
+        {-0.5: ValueError("the second block"), 0.25: ValueError("the third block")},
         {0.5: TargetOutsideHull(-0.25)},  # exit 3, with its margin
         {0.5: NoConvergence("no convergence after 1 iterations")},  # exit 4
     ],
 )
-def test_a_failing_step_gives_the_serial_outcome(forks, monkeypatch, capsys, failures):
+def test_a_failing_step_gives_the_serial_outcome(monkeypatch, capsys, failures):
     _failing_at(monkeypatch, failures)
-    argv = ["sweep", TWO, "--from=-1", "--to=1", "--steps=9"]  # blocks -1..-0.5, -0.25..0.25, 0.5..1
-    forks(1)
-    serial = cli.main(argv), capsys.readouterr()
-    calls = forks(3)
-    assert (cli.main(argv), capsys.readouterr()) == serial and len(calls) == 2
-    assert serial[0] in (2, 3, 4) and serial[1].err.count("\n") == 1
-    _no_child_left()
-
-
-def test_a_child_that_dies_leaves_its_block_to_the_parent(forks, monkeypatch):
-    from momentgibbs import gibbs
-
-    summary, parent = gibbs.gibbs_summary, os.getpid()
-
-    def dying(A, beta):
-        if beta[0] == 0.75 and os.getpid() != parent:
-            os._exit(1)
-        return summary(A, beta)
-
-    monkeypatch.setattr(gibbs, "gibbs_summary", dying)
-    calls = forks(3)
-    two = load_doc("two_state.json")
-    res = cli.cmd_sweep(two, 0, -1.0, 1.0, 9)
-    assert len(calls) == 2
-    monkeypatch.setattr(gibbs, "gibbs_summary", summary)
-    assert res == cli.cmd_sweep(two, 0, -1.0, 1.0, 9)
-    _no_child_left()
-
-
-def test_children_are_killed_when_this_process_raises(forks, monkeypatch):
-    import signal
-    import time
-
-    from momentgibbs import gibbs
-
-    parent = os.getpid()
-
-    def slow_child(A, beta):
-        if os.getpid() != parent:
-            time.sleep(5)  # still running when this process's block fails
-        raise ValueError("this process's block fails")
-
-    monkeypatch.setattr(gibbs, "gibbs_summary", slow_child)
-    statuses, waitpid = [], os.waitpid
-
-    def recorded(pid, options):
-        statuses.append(waitpid(pid, options)[1])
-        return pid, statuses[-1]
-
-    monkeypatch.setattr(os, "waitpid", recorded)
-    forks(3)
-    res = cli.cmd_sweep(load_doc("two_state.json"), 0, -1.0, 1.0, 9)
-    assert res.diagnostics == ("ValueError: this process's block fails",)
-    assert len(statuses) == 2 and all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses)
-    _no_child_left()
-
-
-def test_one_core_or_a_failing_fork_gives_the_same_bytes(forks, monkeypatch):
-    doc = _plane_doc()
-    want = _summary_csv(doc, 0, -4.0, 3.0, 41, "0.7")
-    calls = forks(1)
-    assert cli.cmd_sweep(doc, 0, -4.0, 3.0, 41, "0.7").payload == want and not calls
-
-    def no_fork():
-        calls.append(1)
-        raise OSError(11, "Resource temporarily unavailable")
-
-    forks(3)
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert cli.cmd_sweep(doc, 0, -4.0, 3.0, 41, "0.7").payload == want and len(calls) == 2
-    _no_child_left()
-
-
-def test_the_fork_threshold_keeps_small_sweeps_serial(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert cli._processes(201 * 4) == 1  # the data/ sweeps
-    assert cli._processes(2001 * 4500) == 2  # the N = 4500 sweep at 2001 steps
-    assert cli._processes(2 * cli._FORK_WORK - 1) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert cli._processes(5 * cli._FORK_WORK) == 5
-    done = threading.Event()
-    other = threading.Thread(target=done.wait)
-    other.start()
-    try:
-        assert cli._processes(5 * cli._FORK_WORK) == 1  # no fork while another thread runs
-    finally:
-        done.set()
-        other.join()
+    argv = ["sweep", TWO, "--from=-8", "--to=8", "--steps=65"]  # steps of 0.25
+    steps = {b: int((b + 8) / 0.25) for b in failures}
+    assert min(steps.values()) >= cli._SWEEP_ROWS  # past the first block
+    first = failures[min(failures)]  # the first failing step in step order
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    err = json.loads(out.out)["error"]
+    assert code == {ValueError: 2, TargetOutsideHull: 3, NoConvergence: 4}[type(first)]
+    assert err == {"type": type(first).__name__, "message": str(first)} | (
+        {"margin": first.margin} if isinstance(first, TargetOutsideHull) else {}
+    )
+    assert out.err == f"{err['type']}: {err['message']}\n"
 
 
 def _subcommands():
@@ -830,12 +751,11 @@ def test_counts_past_their_bound_are_refused_before_any_work(capsys, command, co
 
 
 def test_counts_at_their_bound_are_accepted(monkeypatch):
-    # the per-item kernels are stubbed: the bounds are under test, not the kernels
+    # the per-item kernels are stubbed, but for sweep's, which is fast on two states:
+    # the bounds are under test, not the kernels
     from momentgibbs import duality, gibbs, microstates
 
     two = load_doc("two_state.json")
-    summary = types.SimpleNamespace(mean_energy=[0.5], entropy=0.5, log_z=0.5)
-    monkeypatch.setattr(gibbs, "gibbs_summary", lambda A, beta: summary)
     res = cli.cmd_sweep(two, 0, 0.0, 1.0, 10_000)
     assert res.exit_code == 0 and len(res.payload.splitlines()) == 1 + 10_000
 

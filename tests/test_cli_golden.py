@@ -8,8 +8,10 @@ deliberate payload change, with `PYTHONPATH=src python tests/test_cli_golden.py`
 
 import contextlib
 import io
+import json
 import pathlib
 
+import numpy as np
 import pytest
 
 import momentgibbs.cli as cli
@@ -60,6 +62,31 @@ def test_cli_output_matches_golden(name, capsys):
     got = _render(code, capsys.readouterr().out)
     want = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
     assert got == want
+
+
+def test_sweep_golden_rows_match_100_digit_values():
+    # the golden is checked against mpmath, not only re-pinned: at beta = -10 the
+    # entropy once read 2.9009376131391963e-12, 3.4e-5 off the 100-digit value.
+    # At a beta such as -9.9, beta * x rounds, and exp turns a rounding of each
+    # log-weight l into one of |l| u in its weight: each bound allows 4 u for the
+    # first-order effect of those roundings, on top of the result's own few ulps
+    from oracles import mp_log_z_entropy
+
+    points = json.loads((DATA_DIR / "four_level.json").read_text())["points"]
+    x = np.array(points, dtype=float)[:, 0]
+    rows = (GOLDEN_DIR / "sweep_four_level.txt").read_text(encoding="utf-8").splitlines()[2:]
+    assert len(rows) == 201 and rows[0].startswith("-10,")
+    u = 2.0**-53
+    for row in rows:
+        beta, _, entropy, log_z = map(float, row.split(","))
+        want_log_z, want_entropy = map(float, mp_log_z_entropy(points, [beta]))
+        l = -beta * (x - x[np.argmin(beta * x)])
+        p = np.exp(l) / np.exp(l).sum()
+        spread = p @ (np.abs(l) * np.abs(l - p @ l))  # |dS| per relative rounding of each l
+        assert abs(entropy - want_entropy) <= 1e-15 * abs(want_entropy) + 4 * u * spread, row
+        assert abs(log_z - want_log_z) <= 1e-15 * abs(want_log_z) + 4 * u * (p @ np.abs(l)), row
+    assert rows[0].split(",")[2] == "2.9010373127012783e-12"
+    assert abs(float(mp_log_z_entropy(points, [-10.0])[1]) - 2.9010373127012782e-12) <= 1e-27
 
 
 def _regenerate() -> None:

@@ -1,3 +1,4 @@
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentgibbs as mg
-from momentgibbs import gibbs
 from momentgibbs.state_space import _unit_covector, covector_array
-from oracles import central_gradient, central_jacobian
+from conftest import DATA_DIR
+from oracles import central_gradient, central_jacobian, mp_log_z_entropy
 
 LOG3 = math.log(3.0)
 
@@ -305,6 +306,49 @@ def test_beta_orthogonal_to_a_reduced_span_weighs_every_state_alike():
     assert s.log_z == uniform.log_z == mg.log_partition(A, [-1e5, -1e5])
 
 
+# relative bound on log Z and the entropy against 100 digits, about 4.5 ulps; below the
+# smallest normal double a result keeps only its absolute accuracy
+_REL, _TINY = 1e-15, 2.0**-1022
+_LOW_T = (0.5, 2.0, 10.0, 40.0, 100.0, 300.0, 700.0)
+
+
+def _assert_close(got: float, want, what) -> None:
+    assert abs(got - want) <= _REL * abs(want) + _TINY, (what, got, float(want))
+
+
+def _data_sets():
+    for path in sorted(DATA_DIR.glob("*.json")):
+        yield path.name, mg.state_set_from_json(json.loads(path.read_text()))
+
+
+def test_log_z_and_entropy_keep_their_relative_precision_at_low_temperature():
+    # the terms below the heaviest state's weight once rounded away: on two_state at
+    # beta = 40, log Z read 0 (true 4.2e-18) and the entropy was 2.4e-2 off
+    for name, A in _data_sets():
+        directions = [[1.0]] if A.dim == 1 else [[1.0, 0.5], [0.25, -1.0]]
+        for t in (*_LOW_T, *(-t for t in _LOW_T)):
+            for beta in ([t * c for c in u] for u in directions):
+                log_z, entropy = mp_log_z_entropy(A.points, beta)
+                s = mg.gibbs_summary(A, beta)
+                _assert_close(s.log_z, log_z, (name, beta, "log Z"))
+                _assert_close(mg.log_partition(A, beta), log_z, (name, beta, "log_partition"))
+                _assert_close(s.entropy, entropy, (name, beta, "entropy"))
+
+
+def test_sweep_rows_keep_their_relative_precision_at_low_temperature():
+    from momentgibbs import cli
+
+    for name, A in _data_sets():
+        doc = json.loads((DATA_DIR / name).read_text())
+        res = cli.cmd_sweep(doc, 0, -700.0, 700.0, 57, "0.5" if A.dim == 2 else None)
+        for row in res.payload.split("\n")[1:]:
+            cells = [float(c) for c in row.split(",")]
+            beta = [cells[0], 0.5][: A.dim]
+            log_z, entropy = mp_log_z_entropy(A.points, beta)
+            _assert_close(cells[-1], log_z, (name, beta, "log Z"))
+            _assert_close(cells[-2], entropy, (name, beta, "entropy"))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.lists(st.integers(min_value=-10, max_value=10), min_size=2, max_size=8, unique=True),
@@ -327,8 +371,8 @@ def test_distribution_compares_by_value(two_state, three_state):
 
 
 def _log_weights_matmul(A, beta):
-    """The log-weight kernel with @ and np.argmax, as it was before np.dot: the
-    reference every bit of the np.dot kernel is compared with."""
+    """The log-weight kernel with @ and np.argmax, as it was before np.dot: on a set
+    of one coordinate, the reference every bit of the log-weights is compared with."""
     b = covector_array(beta, A.dim)
     b_unit, j = _unit_covector(b)
     a = int(np.argmax(A._coords @ -(b_unit @ A._span)))
@@ -336,6 +380,40 @@ def _log_weights_matmul(A, beta):
     h = int(np.argmax(r))
     with np.errstate(over="ignore"):
         return np.ldexp(r - r[h], A._exp + j), -float(b @ A.points[h])
+
+
+def _gibbs_by_formula(A, beta):
+    """The Gibbs kernel at one beta, written out as its formula: the reference
+    every bit of the forward path is compared with. Elementwise sums over
+    coordinates run in their order; the other sums are np.dot and ndarray.sum.
+    Returns (log-weights, weights, mean, entropy, log Z)."""
+    b = covector_array(beta, A.dim)
+    b_unit, j = _unit_covector(b)
+    nb = -b_unit
+    (n, d), U, C = A._span.shape, A._unit_t, A._coords
+    v = np.dot(nb, A._span)
+    score = np.zeros(len(A))
+    if d:
+        score = C[:, 0] * v[0]
+        for c in range(1, d):
+            score = score + C[:, c] * v[c]
+    a = int(np.argmax(score))
+    r = (U[0] - U[0, a]) * nb[0]
+    for k in range(1, n):
+        r = r + (U[k] - U[k, a]) * nb[k]
+    h = int(np.argmax(r))
+    r = r - r[h]
+    e = A._exp + j
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_w = np.ldexp(r, e)
+        pairing = np.dot(b, A.points[h])
+    w = np.exp(log_w)
+    w[h] = 0.0
+    delta = np.log1p(w.sum())
+    p = w * np.exp(-delta)
+    p[h] = np.exp(-delta)
+    entropy = delta - np.ldexp(np.dot(p, r), e)
+    return log_w, p, np.dot(p, A.points), entropy, delta - pairing
 
 
 def _covariance_by_states(pts, p, mean):
@@ -365,16 +443,14 @@ def test_dot_kernels_keep_the_bits_of_matmul():
                 assert A.affine_dim == min(d, len(pts) - 1)
                 betas = [np.zeros(n), np.full(n, -0.0)] + [rng.normal(size=n) * s for s in (1e-3, 0.3, 30.0)]
                 for beta in betas:
-                    log_w, shift = _log_weights_matmul(A, beta)
-                    got = gibbs._log_weights(A, beta)
-                    assert (_bits(got[0]), _bits(got[1])) == (_bits(log_w), _bits(shift))
-                    log_z, probs = gibbs._normalized(log_w)
-                    mean = probs @ A.points
+                    log_w, probs, mean, entropy, log_z = _gibbs_by_formula(A, beta)
+                    if n == 1:  # one coordinate: each weight is one product
+                        assert _bits(log_w) == _bits(_log_weights_matmul(A, beta)[0])
                     s = mg.gibbs_summary(A, beta)
-                    assert _bits(s.log_z) == _bits(log_z + shift)
+                    assert _bits(s.log_z) == _bits(log_z) == _bits(mg.log_partition(A, beta))
                     assert _bits(s.distribution.probs) == _bits(probs)
                     assert _bits(s.mean_energy) == _bits(mean)
-                    assert _bits(s.entropy) == _bits(gibbs._entropy(probs))
+                    assert _bits(s.entropy) == _bits(entropy)
                     assert _bits(mg.mean_energy(A, beta)) == _bits(mean)
                     cov = _covariance_by_states(A.points, probs, mean)
                     assert _bits(mg.energy_covariance(A, beta)) == _bits(cov)

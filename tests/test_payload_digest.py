@@ -19,7 +19,7 @@ from conftest import ROOT
 sys.path.insert(0, str(ROOT / "tools"))
 import payload_diff  # noqa: E402
 
-DIGEST = "f1364fd50bee89d61bfa98388fd295a0827ff26621a4fcfa3c6e70e450ff7b23"
+DIGEST = "c16f78615ee98c74604063d94b8c6b6a926b23a904feb70505f2f53c2040ecf4"
 
 
 def test_fast_corpus_digest():

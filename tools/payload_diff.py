@@ -17,8 +17,8 @@ The corpus is generated, and every document goes to `cli.main` on stdin:
 - every command on every data/ file, as tests/test_cli.py runs them;
 - the edge documents of tests/test_cli.py, and those below: duplicates, NaN,
   10**400, non-UTF-8 bytes, d = 7, the `limit` overflow sets, a span target
-  next to a far point and the same set moved by 2^40, and a forked `sweep`
-  whose first failing step is not in its first block;
+  next to a far point and the same set moved by 2^40, and a `sweep` whose
+  first failing step is not in its first block of rows;
 - for each of the benchmark seeds in SEEDS: the `cli-small` and `cli-large`
   argvs of perfbench/workloads.py, and `invert` on its `invert-hull` lattice
   sets (affine dimension 2 to 6, N up to 1600), one argv per target.
@@ -80,7 +80,7 @@ _EXTRA_DOCS = {
         [["limit", "--direction=-0.3333333333333333,-0.3333333333333333"]],
     ),
     # 300 states at 1e300: log Z = -(beta, x_h) + ... overflows once beta passes about
-    # 1.8e8, at step 1200 of 2000, past the first block of a two-way fork
+    # 1.8e8, at step 1200 of 2000, past the first block of rows
     "sweep_fails_late": (
         json.dumps({"dim": 1, "points": [[1e300 * (1 + k / 1000)] for k in range(300)]}).encode(),
         [["sweep", "--from=0", "--to=3e8", "--steps=2000"]],
