@@ -1,4 +1,8 @@
-from .cli import run
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads; see README "Command line"
+
+from .cli import run  # noqa: E402
 
 if __name__ == "__main__":
     run()

@@ -298,8 +298,9 @@ def cmd_toric(A: StateSet, beta: str) -> CommandResult:
 def cmd_check(A: StateSet, points: int = 100) -> CommandResult:
     """Duality residuals and inversion round-trips on a seeded beta grid.
 
-    Exits 0 when the largest residual and round-trip error stay below their
-    tolerances (1e-10 and 1e-8), 1 otherwise.
+    The betas are uniform on [-5, 5]^n over the spread, the largest distance from
+    the first point (a one-point set keeps [-5, 5]^n). Exits 0 when the largest residual
+    and round-trip error stay below their tolerances (1e-10 and 1e-8), 1 otherwise.
     """
     from .duality import legendre_residual, legendre_roundtrip
     from .gibbs import mean_energy
@@ -310,6 +311,9 @@ def cmd_check(A: StateSet, points: int = 100) -> CommandResult:
         raise ValueError(f"check takes at most {_MAX_POINTS} grid points, got {points}")
     rng = np.random.Generator(np.random.Philox(key=_CHECK_GRID_KEY))
     betas = rng.uniform(-5.0, 5.0, size=(points, A.dim))
+    spread = float(np.linalg.norm(A._coords, axis=1).max())  # in the unit 2^k
+    if spread:
+        betas = np.ldexp(betas / spread, -A._exp)
     max_residual = 0.0
     max_roundtrip = 0.0
     for b in betas:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSplit, NotNegativeDefinite
-from .gibbs import _at, _entropy, _normalized, _scipy_kernel, mean_energy
+from .gibbs import _at, _entropy, _scipy_kernel, mean_energy
 from .moment_solver import SolveOptions, invert_mean_energy
 from .state_space import StateSet, _float_array, _read_only, _value_eq, point_array
 
@@ -63,18 +63,20 @@ def legendre_residual(A: StateSet, beta) -> float:
     magnitude for desk-scale point sets with ||beta|| <= 20. Its own entropy (``xlogy``)
     and log-sum check the kernel's weights, not the kernel's delta and S against each other."""
     log_w, p = _at(A, beta)[:2]
-    return _entropy(p) + float(p @ np.where(p > 0, log_w, 0.0)) - _normalized(log_w)[0]
+    m = float(np.maximum.reduce(log_w))  # max-shifted, so the sum stays finite
+    log_z = m + float(np.log(np.add.reduce(np.exp(log_w - m))))
+    return _entropy(p) + float(p @ np.where(p > 0, log_w, 0.0)) - log_z
 
 
 def legendre_roundtrip(A: StateSet, target, opts: SolveOptions | None = None) -> float:
     """Norm of mean_energy(invert(target)) - target; at most ~1e-8.
 
     The two gradient maps (mean energy in beta, solved beta in the mean) are
-    mutually inverse; this measures the composed error.
+    mutually inverse; this measures the composed error, in the unit 2^k so no norm overflows.
     """
     t = point_array(target, A.dim)
     report = invert_mean_energy(A, t, opts)
-    return float(np.linalg.norm(mean_energy(A, report.beta) - t))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(mean_energy(A, report.beta) - t, -A._exp)), A._exp))
 
 
 def quadratic_direct_image(f: QuadraticForm, kept: int) -> QuadraticForm:

@@ -128,14 +128,6 @@ def _at(A: StateSet, beta) -> tuple:
     return tuple(x[0] for x in _gibbs(A, covector_array(beta, A.dim)[None]))
 
 
-def _normalized(log_w: np.ndarray) -> tuple[float, np.ndarray]:
-    """log Z and the weights of log_w, for the solver and `legendre_residual`: max-shift
-    keeps the sum finite; log_w - log_z <= 0 so exp never overflows."""
-    m = float(np.maximum.reduce(log_w))
-    log_z = m + float(np.log(np.add.reduce(np.exp(log_w - m))))
-    return log_z, np.exp(log_w - log_z)
-
-
 def _covariance(rows: np.ndarray, p: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Covariance of (d, N) rows under p, for the solver's Hessian and the forward path:
     d elementwise passes of length N. On `A.points.T` it keeps the bits of the (N, d) form;

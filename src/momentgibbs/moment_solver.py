@@ -2,10 +2,11 @@
 
 The solve minimizes the smooth convex dual
 
-    F(beta) = log_partition(beta) + (beta, target)
+    F(beta) = log_partition(beta) + (beta, t) = log sum_i exp(-(beta, x_i - t)),
 
-whose gradient is target - mean_energy(beta) and whose Hessian is the energy
-covariance, by damped Newton with Cholesky steps and Armijo backtracking.
+the log-partition function of the points measured from the target t, whose
+gradient is t - mean_energy(beta) and whose Hessian is the energy covariance,
+by damped Newton with Cholesky steps and Armijo backtracking.
 Each step is one call of LAPACK's dposv (dpotrf and dpotrs, the routines
 behind scipy's cho_factor/cho_solve), so steps keep the wrappers' bits at a
 fraction of their per-call cost. When the factorization fails, the step
@@ -17,9 +18,10 @@ so a set, its 2^j multiple and its exact translates take the same steps. Beta
 is scaled back and lifted by the span, with zero component along its annihilator.
 Every solve starts at beta = 0, whose uniform weights depend on the set alone:
 the first solve on a set memoizes that state on it, with a contiguous (d, N)
-copy of the frame coordinates, and every solve reads it. Newton runs on those
-rows: the log-weights, the mean and the Hessian (`gibbs._covariance`) each make
-d passes of length N, not N passes of length d.
+copy of the frame coordinates, and every solve reads it. A solve centers those
+rows on t once, R = x - t: a candidate beta costs one product, a min-shift, one
+`exp` pass and one sum (`_dual`), R p = mean - t is minus the gradient, and the
+Hessian is `gibbs._covariance` of R; each makes d passes of length N, not N of d.
 The report keeps the solution's Gibbs weights and computes the entropy from
 them when it is read, so a solve for beta alone never loads ``xlogy``.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
-from .gibbs import _covariance, _entropy, _normalized, _scipy_kernel
+from .gibbs import _covariance, _entropy, _scipy_kernel
 from .polytope import _margin, _span_violation, convex_hull
 from .state_space import CoVector, StateSet, _frame_coords, point_array
 
@@ -55,7 +57,7 @@ class SolveOptions:
 
     `grad_tol` bounds the convergence metric (see `SolveReport.grad_norm`)
     and must lie in (0, 1); `max_iter` caps the Newton iterations and must be
-    positive.
+    a positive integer.
     """
 
     grad_tol: float = 1e-10
@@ -64,6 +66,8 @@ class SolveOptions:
     def __post_init__(self):
         if not (0.0 < self.grad_tol < 1.0):
             raise ValueError("grad_tol must lie in (0, 1)")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -136,41 +140,41 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
     t = _frame_coords(A, t_full)
     if A._start is None:  # racing first solves write equal values
         rows = np.ascontiguousarray(A._coords.T)
-        log_z, p = _normalized(np.zeros(len(A)))
+        log_z, p = math.log(len(A)), np.full(len(A), 1.0 / len(A))  # F(0) = log N, uniform p
         mean = np.dot(rows, p)
         cov = _covariance(rows, p, mean)
         for arr in (p, mean, cov, rows):
             arr.setflags(write=False)
         object.__setattr__(A, "_start", (log_z, p, mean, cov, rows))
-    f, p, mean, hess, rows = A._start  # F(0) = log Z(0)
+    f, p, mean, hess, rows = A._start
+    R = rows - t[:, None]  # x - t: F is the log-partition function of these rows
+    offset = mean - t  # R p, minus the gradient
     dposv = _scipy_kernel("dposv")
     beta = np.zeros(d)
     iterations = 0
 
     while True:
-        grad = t - mean
-        grad_norm = float(np.maximum.reduce(np.abs(grad))) / hull._unit_diameter
+        grad_norm = float(np.maximum.reduce(np.abs(offset))) / hull._unit_diameter
         converged = grad_norm <= opts.grad_tol
         if converged or iterations == opts.max_iter:
             break
         iterations += 1
 
-        step = _newton_step(hess if iterations == 1 else _covariance(rows, p, mean), grad, dposv)
+        step = _newton_step(hess if iterations == 1 else _covariance(R, p, offset), offset, dposv)
 
-        slope = -float(grad @ step)  # derivative of F along -step; negative
+        slope = -float(offset @ step)  # derivative of F along step; negative
         slack = _ARMIJO_SLACK * (1.0 + abs(f))
         stride = 1.0
         while stride >= _MIN_STEP:
-            cand = beta - stride * step  # 1.0 * step is step, bit for bit
-            log_z_c, p_c = _normalized(np.dot(-cand, rows))
-            f_c = log_z_c + float(cand @ t)
+            cand = beta + stride * step  # 1.0 * step is step, bit for bit
+            f_c, e, s = _dual(cand, R)
             if f_c <= f + _ARMIJO * stride * slope + slack:
                 break
             stride *= _SHRINK
         else:
             break  # no representable progress left; the raise below reports it
-        beta, f, p = cand, f_c, p_c
-        mean = np.dot(rows, p)
+        beta, f, p = cand, f_c, np.divide(e, s, out=e)
+        offset = np.dot(R, p)
 
     p.setflags(write=False)
     beta = np.ldexp(beta, -A._exp)
@@ -205,12 +209,22 @@ def solve_gradient(A: StateSet, target, opts: SolveOptions | None = None) -> CoV
     return invert_mean_energy(A, target, opts).beta
 
 
-def _newton_step(hess: np.ndarray, grad: np.ndarray, dposv) -> np.ndarray:
-    """Solve hess @ s = grad by Cholesky, adding a scaled ridge if it fails.
+def _dual(beta: np.ndarray, R: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """F(beta) = log s - m from the rows R of x - t, z = (beta, R), m = min z and the
+    weights e = exp(m - z) <= 1 before normalization, whose sum is s."""
+    z = np.dot(beta, R)
+    m = float(np.minimum.reduce(z))
+    e = np.exp(np.subtract(m, z, out=z), out=z)
+    s = float(np.add.reduce(e))
+    return math.log(s) - m, e, s
+
+
+def _newton_step(hess: np.ndarray, offset: np.ndarray, dposv) -> np.ndarray:
+    """Solve hess @ s = offset (minus the gradient) by Cholesky, adding a scaled ridge if it fails.
 
     One dposv call runs dpotrf and dpotrs with the arguments cho_factor and cho_solve pass,
     so the step has their bits; at the solver's d <= 6 the wrappers cost over ten times the
-    routine. Their checks stay: a non-finite input raises ValueError (the gradient only once
+    routine. Their checks stay: a non-finite input raises ValueError (the offset only once
     a factor exists), as does an illegal-argument code. The factor needs no check: each
     entry below the diagonal enters the pivot of its row, so with info 0 all are finite.
     dposv is `_scipy_kernel`'s, from scipy.linalg's compiled module with no scipy package;
@@ -220,9 +234,9 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray, dposv) -> np.ndarray:
     reg = 0.0
     for _ in range(40):
         _check_finite(a)
-        _, step, info = dposv(a, grad, lower=1)
+        _, step, info = dposv(a, offset, lower=1)
         if info == 0:
-            _check_finite(grad)
+            _check_finite(offset)
             return step
         if info < 0:
             raise ValueError(f"dposv: illegal value in argument {-info}")

@@ -5,8 +5,8 @@ dense grid scan over the constraint slice, hull membership is linear
 programming, fiber maximization is golden-section search, derivatives are
 central differences, `mp_invert` finds beta by Newton in mpmath, and
 `mp_log_z_entropy` sums the Gibbs weights in mpmath. `reference_invert` is a frozen copy of the Newton solve
-as it stood before the start memo and the one-call LAPACK step, for checks
-that a faster solver keeps every bit. `reference_state_set_from_json` and
+about the target, with no start memo and dpotrf and dpotrs as two calls, for
+checks that a faster solver keeps every bit. `reference_state_set_from_json` and
 `reference_new_state_set` are frozen copies of the state-set checks as they
 stood before the bulk type pass and array conversion, for checks that every
 document keeps its outcome.
@@ -206,11 +206,11 @@ ReferenceReport = namedtuple(
 
 
 def reference_invert(A, target, opts=None):
-    """`invert_mean_energy` frozen: every solve recomputes the beta = 0 state,
-    F is recomputed at each iteration, log weights are -(beta, rows) and each
-    Newton step calls dpotrf and then dpotrs. Its three products (log weights,
-    mean, covariance) run on the (d, N) rows of the frame coordinates, as the
-    solver's do. The feasibility guard, the frame and the error types are the
+    """`invert_mean_energy` frozen: every solve recomputes the beta = 0 state on
+    the (d, N) rows of the frame coordinates, then runs Newton about the target
+    on those rows less the target, with F = log s - m from the min-shifted
+    weights e (sum s), the weights e / s, and each Newton step as dpotrf and then
+    dpotrs. The feasibility guard, the frame and the error types are the
     package's; the loop and its kernels are copies, so a change to them cannot
     move the reference. The entropy is computed eagerly with its own `xlogy`
     and returned in a `ReferenceReport`, so it checks the report's entropy
@@ -239,26 +239,30 @@ def reference_invert(A, target, opts=None):
     rows = np.ascontiguousarray(A._coords.T)
     t = _frame_coords(A, t_full)
     beta = np.zeros(d)
-    log_z, p = _ref_normalized(-np.dot(beta, rows))
+    f, e, s = _ref_dual(beta, rows)
+    p = e / s
+    mean = np.dot(rows, p)
+    hess = _ref_covariance(rows, p, mean)
+    centered = rows - t[:, None]
+    offset = mean - t
     iterations = 0
     while True:
-        mean = np.dot(rows, p)
-        grad = t - mean
-        grad_norm = float(np.abs(grad).max()) / hull._unit_diameter
+        grad_norm = float(np.abs(offset).max()) / hull._unit_diameter
         converged = grad_norm <= opts.grad_tol
         if converged or iterations == opts.max_iter:
             break
+        if iterations:
+            hess = _ref_covariance(centered, p, offset)
         iterations += 1
-        step = reference_newton_step(_ref_covariance(rows, p, mean), grad)
-        f0 = log_z + float(beta @ t)
-        slope = -float(grad @ step)
-        slack = 32.0 * np.finfo(float).eps * (1.0 + abs(f0))
+        step = reference_newton_step(hess, offset)
+        slope = -float(offset @ step)
+        slack = 32.0 * np.finfo(float).eps * (1.0 + abs(f))
         stride = 1.0
         stalled = False
         while True:
-            cand = beta - stride * step
-            log_z_c, p_c = _ref_normalized(-np.dot(cand, rows))
-            if log_z_c + float(cand @ t) <= f0 + 1e-4 * stride * slope + slack:
+            cand = beta + stride * step
+            f_c, e, s = _ref_dual(cand, centered)
+            if f_c <= f + 1e-4 * stride * slope + slack:
                 break
             stride *= 0.5
             if stride < 1e-14:
@@ -266,7 +270,8 @@ def reference_invert(A, target, opts=None):
                 break
         if stalled:
             break
-        beta, log_z, p = cand, log_z_c, p_c
+        beta, f, p = cand, f_c, e / s
+        offset = np.dot(centered, p)
 
     beta = np.ldexp(beta, -A._exp)
     report = ReferenceReport(
@@ -353,9 +358,9 @@ def mp_log_z_entropy(points, beta, digits=100):
         return -pairings[h] + delta, entropy
 
 
-def reference_newton_step(hess, grad):
-    """The solver's Newton step as dpotrf followed by dpotrs, with its ridge
-    rule and its checks."""
+def reference_newton_step(hess, offset):
+    """The solver's Newton step, hess^-1 offset, as dpotrf followed by dpotrs,
+    with its ridge rule and its checks."""
     a = hess
     reg = 0.0
     for _ in range(40):
@@ -363,9 +368,9 @@ def reference_newton_step(hess, grad):
             raise ValueError("array must not contain infs or NaNs")
         factor, info = dpotrf(a, lower=1, clean=0)
         if info == 0:
-            if not np.isfinite(grad).all():
+            if not np.isfinite(offset).all():
                 raise ValueError("array must not contain infs or NaNs")
-            step, info = dpotrs(factor, grad, lower=1)
+            step, info = dpotrs(factor, offset, lower=1)
             if info != 0:
                 raise ValueError(f"dpotrs: illegal value in argument {-info}")
             return step
@@ -381,10 +386,12 @@ def reference_newton_step(hess, grad):
     raise np.linalg.LinAlgError("covariance could not be regularized to positive definite")
 
 
-def _ref_normalized(log_w):
-    m = float(log_w.max())
-    log_z = m + float(np.log(np.exp(log_w - m).sum()))
-    return log_z, np.exp(log_w - log_z)
+def _ref_dual(beta, centered):
+    z = np.dot(beta, centered)
+    m = float(z.min())
+    e = np.exp(m - z)
+    s = float(e.sum())
+    return math.log(s) - m, e, s
 
 
 def _ref_covariance(rows, p, mean):

@@ -667,6 +667,31 @@ def test_subprocess_byte_identical():
     assert runs[0].stdout.startswith(b'{"schema":"moment-gibbs/v1"')
 
 
+def test_check_scales_its_grid_by_the_spread():
+    # on [-5, 5] the grid saturates the mean of a set 1000 wide and the solve
+    # refused a target on the boundary (exit 3); over the spread it classifies
+    res = cli.cmd_check({"dim": 1, "points": [[0], [1000]]})
+    out = json.loads(res.payload)
+    assert res.exit_code == (0 if out["passed"] else 1)
+    assert out["max_legendre_residual"] <= 1e-10
+    # a one-point set keeps the unscaled grid
+    assert cli.cmd_check({"dim": 2, "points": [[3, 4]]}).exit_code == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_main_module_runs_blas_on_one_thread():
+    # `python -m momentgibbs` and the console script set one BLAS thread before numpy
+    # loads, whatever the environment asks; numpy's and scipy's pools then start none
+    probe = (
+        "import os, momentgibbs.__main__, numpy; "
+        "from momentgibbs.gibbs import _scipy_kernel; _scipy_kernel('dposv'); "
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, check=True)
+    assert run.stdout.strip() == b"1"
+
+
 def test_subprocess_exit_codes():
     base = [sys.executable, "-m", "momentgibbs"]
     two = str(DATA_DIR / "two_state.json")

@@ -92,8 +92,8 @@ def test_target_on_boundary(two_state):
 
 def test_line_search_gives_up_when_no_stride_decreases_f(monkeypatch, two_state):
     mg.invert_mean_energy(two_state, [0.25])  # memoizes the beta = 0 state
-    normalized = moment_solver._normalized
-    monkeypatch.setattr(moment_solver, "_normalized", lambda log_w: (math.nan, normalized(log_w)[1]))
+    dual = moment_solver._dual
+    monkeypatch.setattr(moment_solver, "_dual", lambda beta, R: (math.nan, *dual(beta, R)[1:]))
     with pytest.raises(mg.NoConvergence) as err:
         mg.invert_mean_energy(two_state, [0.25])
     report = err.value.report
@@ -307,6 +307,11 @@ def test_solve_options_validation():
         mg.SolveOptions(grad_tol=2.0)
     with pytest.raises(ValueError):
         mg.SolveOptions(max_iter=0)
+    # a cap that is not an integer would never equal the count, and True would read as 1
+    for cap in (2.5, 3.0, True, False, "3", None):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            mg.SolveOptions(max_iter=cap)
+    assert mg.SolveOptions(max_iter=np.int64(3)).max_iter == 3
 
 
 def _solver_step(hess, grad):
@@ -562,15 +567,15 @@ def _outcome(solve, A, target, opts):
 
 
 def test_solver_matches_frozen_reference(monkeypatch):
-    # count the reference's log-sum-exp calls: one per candidate, plus the start
+    # count the reference's log-sum calls: one per candidate, plus the start
     calls = [0]
-    normalized = oracles._ref_normalized
+    dual = oracles._ref_dual
 
-    def counted(log_w):
+    def counted(beta, centered):
         calls[0] += 1
-        return normalized(log_w)
+        return dual(beta, centered)
 
-    monkeypatch.setattr(oracles, "_ref_normalized", counted)
+    monkeypatch.setattr(oracles, "_ref_dual", counted)
     rng = np.random.Generator(np.random.Philox(key=47))
     options = [mg.SolveOptions(max_iter=m) for m in (1, 2, 3)]
     options += [mg.SolveOptions(), mg.SolveOptions(grad_tol=1e-300)]

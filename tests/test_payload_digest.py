@@ -19,7 +19,7 @@ from conftest import ROOT
 sys.path.insert(0, str(ROOT / "tools"))
 import payload_diff  # noqa: E402
 
-DIGEST = "c16f78615ee98c74604063d94b8c6b6a926b23a904feb70505f2f53c2040ecf4"
+DIGEST = "00255a3ac02600597acfb4dc1c781240b08dfea6efb913aeaf002bc1119de2e6"
 
 
 def test_fast_corpus_digest():
