@@ -4,9 +4,8 @@ The solve minimizes the smooth convex dual
 
     F(beta) = log_partition(beta) + (beta, t) = log sum_i exp(-(beta, x_i - t)),
 
-the log-partition function of the points measured from the target t, whose
-gradient is t - mean_energy(beta) and whose Hessian is the energy covariance,
-by damped Newton with Cholesky steps and Armijo backtracking.
+the log-partition function of x - t, with gradient t - mean_energy(beta) and the energy
+covariance as Hessian, by damped Newton with Cholesky steps and Armijo backtracking.
 Each step is one call of LAPACK's dposv (dpotrf and dpotrs, the routines
 behind scipy's cho_factor/cho_solve), so steps keep the wrappers' bits at a
 fraction of their per-call cost. When the factorization fails, the step

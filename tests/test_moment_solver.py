@@ -645,6 +645,37 @@ def test_solved_beta_matches_a_40_digit_root():
     assert reduced == 1
 
 
+def _mp_root_1d(xs, t, digits=60):
+    """beta with Gibbs mean t on the 1-D points xs, by bisection in mpmath."""
+    from mpmath import mp
+
+    with mp.workdps(digits):
+        xs, t = [mp.mpf(x) for x in xs], mp.mpf(t)
+
+        def excess(b):
+            m = min(b * x for x in xs)
+            w = [mp.exp(m - b * x) for x in xs]
+            return mp.fsum(wi * x for wi, x in zip(w, xs)) / mp.fsum(w) - t
+
+        lo, hi = mp.mpf(-200), mp.mpf(200)
+        for _ in range(250):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+        return float((lo + hi) / 2)
+
+
+def test_targets_near_a_far_vertex_keep_beta_accurate_in_either_order():
+    # Newton about the target: the gradient is minus R p with R = x - t, so near the
+    # vertex 5 it no longer cancels |5 - x_0| of rounding when 0 is listed first.
+    # Solving about the first point, these errors were 3.4e-9 and 5.1e-10
+    for order in ([0.0, 1.0, 2.0, 5.0], [5.0, 2.0, 1.0, 0.0]):
+        A = mg.new_state_set(1, [[x] for x in order])
+        for t in (5 - 5e-8, 5 - 1e-6):
+            root = _mp_root_1d(order, t)
+            beta = mg.invert_mean_energy(A, [t], mg.SolveOptions(grad_tol=1e-14)).beta.components[0]
+            assert abs(beta - root) <= 1e-11 * abs(root), (order, t)
+
+
 def test_start_memo_is_not_part_of_the_value():
     pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 3.0]]
     A = mg.new_state_set(2, pts)
