@@ -259,11 +259,12 @@ def cmd_limit(A: StateSet, direction: str) -> CommandResult:
 @_command
 def cmd_microstates(A: StateSet, total: int, seed: int, beta: str | None = None) -> CommandResult:
     """Sample occupation counts from the Gibbs distribution at beta."""
-    from .gibbs import entropy, gibbs_distribution
+    from .gibbs import Distribution, _at
     from .microstates import GENERATOR_NAME, log_equilibrium_count, log_multinomial_measure, sample_counts
 
     b = _parse_vector(beta, "beta") if beta else [0.0] * A.dim
-    p = gibbs_distribution(A, b)
+    _, probs, _, entropy, _ = _at(A, b)
+    p = Distribution(probs, A)
     if total > _MAX_TOTAL:
         raise InvalidTotal(f"the CLI samples at most {_MAX_TOTAL} particles, got {total}")
     counts = sample_counts(p, total, seed)
@@ -279,7 +280,7 @@ def cmd_microstates(A: StateSet, total: int, seed: int, beta: str | None = None)
             "empirical": counts.counts / counts.total,
             "log_multinomial_measure": measure,
             "log_equilibrium_count": eq_count,
-            "entropy": entropy(p),
+            "entropy": entropy,
         }
     )
 
@@ -311,7 +312,7 @@ def cmd_check(A: StateSet, points: int = 100) -> CommandResult:
         raise ValueError(f"check takes at most {_MAX_POINTS} grid points, got {points}")
     rng = np.random.Generator(np.random.Philox(key=_CHECK_GRID_KEY))
     betas = rng.uniform(-5.0, 5.0, size=(points, A.dim))
-    spread = float(np.linalg.norm(A._coords, axis=1).max())  # in the unit 2^k
+    spread = float(np.linalg.norm(A._coords, axis=0).max())  # in the unit 2^k
     if spread:
         betas = np.ldexp(betas / spread, -A._exp)
     max_residual = 0.0

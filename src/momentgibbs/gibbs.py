@@ -93,9 +93,9 @@ def _gibbs(A: StateSet, betas: np.ndarray) -> tuple[np.ndarray, ...]:
     nb = -np.ldexp(betas, -j[:, None])
     v = np.matmul(nb[:, None], A._span)[:, 0]  # -beta on the span
     C, U = A._coords, A._unit_t
-    score = C[:, 0] * v[:, :1] if A.affine_dim else np.zeros((len(betas), 1))  # one state
+    score = C[0] * v[:, :1] if A.affine_dim else np.zeros((len(betas), 1))  # one state
     for c in range(1, A.affine_dim):
-        score += C[:, c] * v[:, c, None]
+        score += C[c] * v[:, c, None]
     a = score.argmax(axis=1)  # heaviest up to the frame's rounding
     r = np.subtract(U[0], U[0, a][:, None])
     r *= nb[:, :1]

@@ -16,13 +16,13 @@ scaled by 2^-k, in span coordinates, where the Hessian is positive definite),
 so a set, its 2^j multiple and its exact translates take the same steps. Beta
 is scaled back and lifted by the span, with zero component along its annihilator.
 Every solve starts at beta = 0, whose uniform weights depend on the set alone:
-the first solve on a set memoizes that state on it, with a contiguous (d, N)
-copy of the frame coordinates, and every solve reads it. A solve centers those
-rows on t once, R = x - t: a candidate beta costs one product, a min-shift, one
-`exp` pass and one sum (`_dual`), R p = mean - t is minus the gradient, and the
-Hessian is `gibbs._covariance` of R; each makes d passes of length N, not N of d.
-The report keeps the solution's Gibbs weights and computes the entropy from
-them when it is read, so a solve for beta alone never loads ``xlogy``.
+the first solve on a set memoizes that state on it, and every solve reads it. A
+solve centers the set's (d, N) rows of frame coordinates on t once, R = x - t: a
+candidate beta costs one product, a min-shift, one `exp` pass and one sum
+(`_dual`), R p = mean - t is minus the gradient, and the Hessian is
+`gibbs._covariance` of R; each makes d passes of length N, not N of d. The
+report keeps no weights: its entropy is the Gibbs kernel's at the solved beta,
+read when it is asked for.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergence, TargetOnBoundary, TargetOutsideHull
-from .gibbs import _covariance, _entropy, _scipy_kernel
+from .gibbs import _at, _covariance, _scipy_kernel
 from .polytope import _margin, _span_violation, convex_hull
 from .state_space import CoVector, StateSet, _frame_coords, point_array
 
@@ -83,8 +83,9 @@ class SolveReport:
     when the points did not affinely span the ambient space; the returned
     beta is then one representative of an affine family (the component along
     the span's annihilator is zero and carries no information). `entropy` is
-    computed on each read from the solution's Gibbs weights, a private read-only
-    array left out of `repr`. Reports compare and hash by identity.
+    read on each access from the Gibbs kernel at beta on the solved set, which
+    the report holds in a private field left out of `repr`, so it has the bits of
+    `gibbs_summary(A, beta).entropy`. Reports compare and hash by identity.
     """
 
     beta: CoVector
@@ -92,12 +93,12 @@ class SolveReport:
     grad_norm: float
     converged: bool
     reduced: bool
-    _probs: np.ndarray = field(repr=False)
+    _set: StateSet = field(repr=False)
 
     @property
     def entropy(self) -> float:
         """Shannon entropy of the Gibbs weights at the solved beta, in nats."""
-        return _entropy(self._probs)
+        return float(_at(self._set, self.beta)[3])
 
 
 def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) -> SolveReport:
@@ -133,20 +134,18 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
     reduced = d < A.dim
 
     if d == 0:  # single state: the only admissible target is the point itself
-        one = np.broadcast_to(1.0, 1)  # its weights, read-only
-        return SolveReport(CoVector(np.zeros(A.dim)), 0, 0.0, True, reduced, one)
+        return SolveReport(CoVector(np.zeros(A.dim)), 0, 0.0, True, reduced, A)
 
     t = _frame_coords(A, t_full)
     if A._start is None:  # racing first solves write equal values
-        rows = np.ascontiguousarray(A._coords.T)
         log_z, p = math.log(len(A)), np.full(len(A), 1.0 / len(A))  # F(0) = log N, uniform p
-        mean = np.dot(rows, p)
-        cov = _covariance(rows, p, mean)
-        for arr in (p, mean, cov, rows):
+        mean = np.dot(A._coords, p)
+        cov = _covariance(A._coords, p, mean)
+        for arr in (p, mean, cov):
             arr.setflags(write=False)
-        object.__setattr__(A, "_start", (log_z, p, mean, cov, rows))
-    f, p, mean, hess, rows = A._start
-    R = rows - t[:, None]  # x - t: F is the log-partition function of these rows
+        object.__setattr__(A, "_start", (log_z, p, mean, cov))
+    f, p, mean, hess = A._start
+    R = A._coords - t[:, None]  # x - t: F is the log-partition function of these rows
     offset = mean - t  # R p, minus the gradient
     dposv = _scipy_kernel("dposv")
     beta = np.zeros(d)
@@ -175,7 +174,6 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         beta, f, p = cand, f_c, np.divide(e, s, out=e)
         offset = np.dot(R, p)
 
-    p.setflags(write=False)
     beta = np.ldexp(beta, -A._exp)
     report = SolveReport(
         beta=CoVector(A._span @ beta),
@@ -183,7 +181,7 @@ def invert_mean_energy(A: StateSet, target, opts: SolveOptions | None = None) ->
         grad_norm=grad_norm,
         converged=converged,
         reduced=reduced,
-        _probs=p,
+        _set=A,
     )
     if not converged:
         raise NoConvergence(

@@ -106,12 +106,12 @@ def _enumerate_hull(A: StateSet) -> Polytope:
         vertices: list[int] = [0]
         normals, offsets = np.zeros((0, 0)), np.zeros(0)
     elif d == 1:
-        vertices, normals, offsets = _hull_interval(A._coords[:, 0])
+        vertices, normals, offsets = _hull_interval(A._coords[0])
     elif d == 2:
         lattice = A.is_lattice and d == A.dim
-        vertices, normals, offsets = _hull_planar(A._coords, A._exp, A._origin if lattice else None)
+        vertices, normals, offsets = _hull_planar(A._coords.T, A._exp, A._origin if lattice else None)
     else:
-        vertices, normals, offsets = _hull_qhull(A._coords)
+        vertices, normals, offsets = _hull_qhull(A._coords.T)
     # enumerated in span coordinates about the first point, in the set's unit 2^k:
     # stacked matrix-vector products, each with the bits of its own `span @ n` (a
     # matrix-matrix product may sum in another order), and the first point's

@@ -106,8 +106,8 @@ class StateSet:
     unit. `affine_dim` and the frame `affine_frame` returns are read from it;
     the (n, d) span matrix (the identity at full dimension, so lattice points
     keep integer coordinates), the points (as columns) and the origin in the unit
-    and the solver's coordinates (`_frame_coords` of the points) are cached
-    read-only.
+    and the frame coordinates (`_frame_coords` of the points, as (d, N) rows) are
+    cached read-only.
     `is_lattice` records whether every input coordinate was an integer. Points
     are stored as float64 exactly as given.
     """
@@ -118,7 +118,7 @@ class StateSet:
     affine_dim: int = field(init=False)
     is_lattice: bool = field(init=False)
     # the frame: k, all n right singular vectors (see __post_init__), span, the points in
-    # the unit as (n, N) rows (fast differences), origin, coordinates
+    # the unit as (n, N) rows (fast differences), origin, coordinates as (d, N) rows
     _exp: int = field(init=False, repr=False, compare=False)
     _vh: np.ndarray = field(init=False, repr=False, compare=False)
     _span: np.ndarray = field(init=False, repr=False, compare=False)
@@ -164,7 +164,7 @@ class StateSet:
         object.__setattr__(self, "_span", vh[:d].T.copy() if d < self.dim else np.eye(d))
         object.__setattr__(self, "_unit_t", np.ascontiguousarray(unit.T))
         object.__setattr__(self, "_origin", unit[0].copy())
-        object.__setattr__(self, "_coords", _frame_coords(self, pts))
+        object.__setattr__(self, "_coords", np.ascontiguousarray(_frame_coords(self, pts).T))
         for arr in (vh, self._span, self._unit_t, self._origin, self._coords):
             arr.setflags(write=False)
         object.__setattr__(self, "is_lattice", bool(np.all(pts == np.rint(pts))))

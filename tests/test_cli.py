@@ -18,6 +18,7 @@ from momentgibbs.errors import NoConvergence, TargetOutsideHull
 from momentgibbs.gibbs import gibbs_summary
 from momentgibbs.state_space import state_set_from_json
 from conftest import DATA_DIR, load_doc
+from oracles import mp_log_z_entropy
 
 def payload(result):
     assert result.exit_code == 0, result.diagnostics
@@ -585,6 +586,13 @@ def test_microstates_command():
     again = payload(cli.cmd_microstates(doc, total=50, seed=42, beta="1.0986122886681098"))
     assert again == out
     assert cli.cmd_microstates(doc, total=0, seed=1).exit_code == 2
+    # at low temperature the entropy keeps its relative precision: it is forward's, from
+    # the kernel, where an xlogy over the weights was 8.6e-10 off at 20 and 5.4e-6 at 30
+    for beta in ("20", "30"):
+        entropy = payload(cli.cmd_microstates(doc, total=50, seed=42, beta=beta))["entropy"]
+        assert entropy == payload(cli.cmd_forward(doc, beta))["entropy"]
+        want = float(mp_log_z_entropy(doc["points"], [float(beta)])[1])
+        assert abs(entropy - want) <= 1e-15 * want
 
 
 def test_toric_command():

@@ -11,7 +11,10 @@ the contract:
 - stderr is empty, or one `Type: message` line; a flag value of the wrong
   type is argparse's refusal instead: its usage line and one error line;
 - no traceback escapes;
-- the same argv run twice gives the same bytes.
+- the same argv run twice gives the same bytes;
+- an `invert` or `microstates` that exits 0 prints the `entropy` that
+  `forward` prints at its printed beta; where `forward` refuses a log Z or a
+  covariance beyond the float range, the entropy of `gibbs_summary` there.
 
 Translation: for an integer set A and an integer vector c, every command gives
 the same exit code on A and on A + c, `invert` with its target moved by c.
@@ -38,6 +41,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import momentgibbs.cli as cli
+from momentgibbs.gibbs import gibbs_summary
+from momentgibbs.state_space import state_set_from_json
 
 SETTINGS = settings(
     derandomize=True,
@@ -113,7 +118,20 @@ def _check_contract(argv, doc, twice=True):
     assert payload["schema"] == cli.SCHEMA, argv
     if code >= 2:
         assert payload["error"]["type"] == lines[0].split(":")[0], argv
+    if argv[0] in ("invert", "microstates") and code == 0:
+        beta = re.search(r'"beta":\[([^]]*)\]', out)[1]
+        f_code, f_out, f_err, _ = _run(["forward", "-", f"--beta={beta}"], text)
+        if f_code == 0:
+            want = _entropy_text(f_out)
+        else:
+            assert f_code == 2 and f_err.endswith("which is not a finite double\n"), (argv, f_err)
+            want = cli._fmt(gibbs_summary(state_set_from_json(doc), payload["beta"]).entropy)
+        assert _entropy_text(out) == want, (argv, beta)
     return code
+
+
+def _entropy_text(out):
+    return re.search(r'"entropy":([^,}]*)', out)[1]
 
 
 def _flag(argv, name):

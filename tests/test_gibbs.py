@@ -375,7 +375,7 @@ def _log_weights_matmul(A, beta):
     of one coordinate, the reference every bit of the log-weights is compared with."""
     b = covector_array(beta, A.dim)
     b_unit, j = _unit_covector(b)
-    a = int(np.argmax(A._coords @ -(b_unit @ A._span)))
+    a = int(np.argmax(A._coords.T @ -(b_unit @ A._span)))
     r = -b_unit @ (A._unit_t - A._unit_t[:, a : a + 1])
     h = int(np.argmax(r))
     with np.errstate(over="ignore"):
@@ -394,9 +394,9 @@ def _gibbs_by_formula(A, beta):
     v = np.dot(nb, A._span)
     score = np.zeros(len(A))
     if d:
-        score = C[:, 0] * v[0]
+        score = C[0] * v[0]
         for c in range(1, d):
-            score = score + C[:, c] * v[c]
+            score = score + C[c] * v[c]
     a = int(np.argmax(score))
     r = (U[0] - U[0, a]) * nb[0]
     for k in range(1, n):

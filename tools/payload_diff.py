@@ -9,8 +9,13 @@ corpus through `cli.main` in process, in one subprocess per tree: first REV's
 src/, then this checkout's. Every case whose exit code, stdout or stderr
 differs is printed. For JSON and CSV payloads the report names each moved
 field and its distance in ulps, and integer fields such as `iterations` with
-both values. A summary per command closes the report. The exit code is 0 when
-every case gives the same bytes, and 1 otherwise.
+both values. A vector entry's distance is also given in ulps of the vector's
+largest entry. A scalar that sits near zero is read in a stated scale instead,
+as a fraction of it: `check`'s `max_legendre_residual` and `max_roundtrip_error`
+in their payload's `residual_tolerance` and `roundtrip_tolerance`, and
+`invert`'s `grad_norm` in the default `grad_tol`. A summary per command closes
+the report. The exit code is 0 when every case gives the same bytes, and 1
+otherwise.
 
 The corpus is generated, and every document goes to `cli.main` on stdin:
 - the golden argvs of tests/test_cli_golden.py;
@@ -184,27 +189,55 @@ def ulps(a: float, b: float) -> int:
     return abs(_ordinal(a) - _ordinal(b))
 
 
-def _number_diff(path: str, a, b, moved: list, scale: float = 0.0) -> None:
-    """Append (field, change, ulps, ulps of `scale`): an entry of a vector near zero
-    moves by many of its own ulps and few of the vector's largest entry."""
+def _number_diff(path: str, a, b, moved: list, scale: float = 0.0, stated=None) -> None:
+    """Append (field, change, ulps, (distance, unit) or None). The distance is in ulps
+    of `scale`, the largest entry of a vector, whose entries near zero move by many of
+    their own ulps and few of it; or a fraction of the `stated` (name, value) scale."""
     if isinstance(a, int) and isinstance(b, int):
         moved.append((path, f"{a} -> {b}", None, None))
         return
     a, b = float(a), float(b)
-    scaled = abs(a - b) / math.ulp(scale) if scale > max(abs(a), abs(b)) else None
-    moved.append((path, f"{a!r} -> {b!r}", ulps(a, b), scaled))
+    if stated:
+        name, value = stated
+        measure = (abs(a - b) / value, f"of {name}")
+    elif scale > max(abs(a), abs(b)):
+        measure = (abs(a - b) / math.ulp(scale), "ulps of the largest entry")
+    else:
+        measure = None
+    moved.append((path, f"{a!r} -> {b!r}", ulps(a, b), measure))
 
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _json_diff(path: str, a, b, moved: list, scale: float = 0.0) -> None:
-    """Append a (field, change, ulps, ulps of the vector's largest entry) for every
-    leaf where a and b differ; the ulps are None where they do not apply."""
+# fields read as a fraction of a sibling field of their payload
+_SIBLING_SCALES = {
+    "max_legendre_residual": "residual_tolerance",
+    "max_roundtrip_error": "roundtrip_tolerance",
+}
+
+
+def _stated_scale(key: str, payload: dict):
+    """(name, value) of the scale that the payload's scalar `key` is read in, or None:
+    `check`'s maxima in their sibling tolerances, `invert`'s `grad_norm` in the default
+    `grad_tol`."""
+    if key == "grad_norm":
+        from momentgibbs.moment_solver import SolveOptions
+
+        return "grad_tol", SolveOptions().grad_tol
+    sibling = _SIBLING_SCALES.get(key)
+    if sibling and _is_number(payload.get(sibling)) and payload[sibling] > 0:
+        return sibling, float(payload[sibling])
+    return None
+
+
+def _json_diff(path: str, a, b, moved: list, scale: float = 0.0, stated=None) -> None:
+    """Append a (field, change, ulps, (distance, unit)) for every leaf where a and b
+    differ; the ulps and the distance are None where they do not apply."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for key in a:
-            _json_diff(f"{path}.{key}" if path else key, a[key], b[key], moved)
+            _json_diff(f"{path}.{key}" if path else key, a[key], b[key], moved, stated=_stated_scale(key, a))
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         if all(map(_is_number, a + b)):
             scale = max(map(abs, a + b), default=0.0)
@@ -212,7 +245,7 @@ def _json_diff(path: str, a, b, moved: list, scale: float = 0.0) -> None:
             _json_diff(f"{path}[{i}]", x, y, moved, scale)
     elif _is_number(a) and _is_number(b):
         if a != b or math.copysign(1, a) != math.copysign(1, b):
-            _number_diff(path, a, b, moved, scale)
+            _number_diff(path, a, b, moved, scale, stated)
     elif a != b:
         moved.append((path or "payload", f"{json.dumps(a)[:60]} -> {json.dumps(b)[:60]}", None, None))
 
@@ -237,8 +270,8 @@ def _csv_diff(a: str, b: str, moved: list) -> bool:
 
 
 def field_diff(a: str, b: str) -> list:
-    """(field, change, ulps, ulps of the vector's largest entry) of two stdouts: JSON
-    leaves, CSV cells, or the first differing line."""
+    """(field, change, ulps, (distance, unit)) of two stdouts: JSON leaves, CSV cells,
+    or the first differing line."""
     moved: list = []
     try:
         _json_diff("", json.loads(a), json.loads(b), moved)
@@ -260,9 +293,10 @@ def _field_name(path: str) -> str:
 
 def report(cases: list, base: list, head: list, out=sys.stdout) -> int:
     """Print every differing case and a summary per command; the count of differing
-    cases. A vector entry's distance counts in ulps of the vector's largest entry."""
+    cases. A vector entry's distance counts in ulps of the vector's largest entry, a
+    scalar with a stated scale as a fraction of it."""
     per_cmd = defaultdict(lambda: [0, 0])  # command: [cases, byte-identical]
-    fields = defaultdict(lambda: [0, None])  # (command, field): [cases, most ulps]
+    fields = defaultdict(lambda: [0, None, "ulps"])  # (command, field): [cases, most, unit]
     exits = defaultdict(int)
     differing = 0
     for (label, argv, _), b, h in zip(cases, base, head):
@@ -279,25 +313,27 @@ def report(cases: list, base: list, head: list, out=sys.stdout) -> int:
         if b[2] != h[2]:
             print(f"  stderr {b[2].strip()[:100]!r} -> {h[2].strip()[:100]!r}", file=out)
         moved = field_diff(b[1], h[1])
-        for path, change, dist, scaled in moved:
-            note = "" if dist is None else f" ({dist} ulps" + ("" if scaled is None else f", {scaled:.3g} of the largest entry") + ")"
+        for path, change, dist, measure in moved:
+            note = "" if dist is None else f" ({dist} ulps" + ("" if measure is None else ", %.3g %s" % measure) + ")"
             print(f"  {path}: {change}{note}", file=out)
             if dist is not None:
                 entry = fields[(argv[0], _field_name(path))]
-                entry[1] = max(entry[1] or 0, dist if scaled is None else scaled)
+                entry[1] = max(entry[1] or 0, dist if measure is None else measure[0])
+                if measure and measure[1].startswith("of "):  # a stated scale: one per field
+                    entry[2] = measure[1]
         for name in {_field_name(path) for path, *_ in moved}:
             fields[(argv[0], name)][0] += 1
     print(f"\n{len(cases)} cases, {differing} with different bytes", file=out)
     for cmd, (total, same) in sorted(per_cmd.items()):
         print(f"  {cmd}: {same} of {total} byte-identical", file=out)
-        for (c, name), (n, most) in sorted(fields.items()):
+        for (c, name), (n, most, unit) in sorted(fields.items()):
             if c == cmd:
-                size = "" if most is None else f", at most {most:.3g} ulps"
+                size = "" if most is None else f", at most {most:.3g} {unit}"
                 print(f"    {name}: moved in {n} cases{size}", file=out)
         for (c, old, new), n in sorted(exits.items()):
             if c == cmd:
                 print(f"    exit {old} -> {new}: {n} cases", file=out)
-    moved = sum(n for (_, name), (n, _) in fields.items() if name.endswith("iterations"))
+    moved = sum(n for (_, name), (n, *_) in fields.items() if name.endswith("iterations"))
     print(f"  iteration counts moved in {moved} cases", file=out)
     return differing
 
