@@ -238,12 +238,16 @@ def _span_violation(Q: Polytope, p: np.ndarray) -> float:
 def min_face(A: StateSet, direction) -> FaceResult:
     """States minimizing the pairing with `direction`, tied within 1e-9 of the
     pairings' spread, taken from their halves so it is finite at every magnitude
-    (a zero direction ties every state)."""
+    (a zero direction ties every state). Ties are ranked in the set's frame where
+    every pairing is finite; `value` is the minimum in caller units."""
     d = covector_array(direction, A.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         pairings = A.points @ d
     value = float(pairings.min())
-    if not np.all(np.isfinite(pairings)):
+    if np.all(np.isfinite(pairings)):
+        # in the frame, integer translates pair the same exact differences from x_0
+        pairings = A._coords.T @ (A._span.T @ _unit_covector(d)[0])
+    else:
         # a pairing overflowed: in the set's unit 2^k and d's own power of two
         # the pairings are finite and exact multiples of the true ones
         pairings = np.ldexp(A.points, -A._exp) @ _unit_covector(d)[0]

@@ -172,6 +172,10 @@ class StateSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    def __reduce__(self):
+        """Pickled as its constructor arguments: a load rebuilds the frame, with no memo."""
+        return StateSet, (self.dim, self.points, self.labels)
+
 
 @dataclass(frozen=True)
 class Observable:

@@ -17,7 +17,8 @@ the contract:
   covariance beyond the float range, the entropy of `gibbs_summary` there.
 
 Translation: for an integer set A and an integer vector c, every command gives
-the same exit code on A and on A + c, `invert` with its target moved by c.
+the same exit code on A and on A + c, `invert` with its target moved by c, and
+`limit` gives the same face.
 The targets are dyadic, so t + c is exact. This holds for |c| <= 2^40, with
 one exception: `check` is held to it for |c| <= 2^20 only, because its round
 trip compares means in caller units, and ulp(2^40) = 2.4e-4 is above its 1e-8
@@ -90,7 +91,7 @@ def _refuse_constant(name):
 
 def _check_contract(argv, doc, twice=True):
     """Run argv on doc (twice, unless told otherwise), assert the contract, and
-    return the exit code."""
+    return the exit code and stdout."""
     text = json.dumps(doc)
     first = _run(argv, text)
     assert not twice or _run(argv, text) == first, argv
@@ -102,7 +103,7 @@ def _check_contract(argv, doc, twice=True):
         assert code == 2 and out == "", argv
         assert lines[0].startswith("usage: momentgibbs ") and len(lines) >= 2, argv
         assert lines[-1].startswith(f"momentgibbs {argv[0]}: error: "), argv
-        return code
+        return code, out
     assert lines == [] if code in (0, 1) else len(lines) == 1 and _ERROR_LINE.fullmatch(lines[0]), argv
     assert out.endswith("\n"), argv
     if argv[0] == "sweep" and code == 0:
@@ -112,7 +113,7 @@ def _check_contract(argv, doc, twice=True):
         for row in rows:
             cells = row.split(",")
             assert len(cells) == width and all(math.isfinite(float(c)) for c in cells), argv
-        return code
+        return code, out
     assert out.count("\n") == 1, argv
     payload = json.loads(out, parse_constant=_refuse_constant)
     assert payload["schema"] == cli.SCHEMA, argv
@@ -127,7 +128,7 @@ def _check_contract(argv, doc, twice=True):
             assert f_code == 2 and f_err.endswith("which is not a finite double\n"), (argv, f_err)
             want = cli._fmt(gibbs_summary(state_set_from_json(doc), payload["beta"]).entropy)
         assert _entropy_text(out) == want, (argv, beta)
-    return code
+    return code, out
 
 
 def _entropy_text(out):
@@ -226,12 +227,14 @@ def test_integer_translates_keep_the_contract_and_the_exit_codes(data):
     size = data.draw(st.sampled_from([2**10, 2**20, 2**40]))
     c = np.array(data.draw(st.lists(st.integers(-size, size), min_size=pts.shape[1], max_size=pts.shape[1])), float)
     argvs = _argvs(data.draw, pts)
-    codes = {}
+    runs = {}
     for shift, twice in ((0 * c, True), (c, False)):  # the runs on A + c once each, to save time
         doc = {"dim": pts.shape[1], "points": (pts + shift).tolist()}
         for cmd, argv in argvs(shift).items():
-            codes.setdefault(cmd, []).append(_check_contract(argv, doc, twice))
-    for cmd, (at_a, at_b) in codes.items():
+            code, out = _check_contract(argv, doc, twice)
+            face = json.loads(out)["face"] if cmd == "limit" and code == 0 else None
+            runs.setdefault(cmd, []).append((code, face))
+    for cmd, (at_a, at_b) in runs.items():
         if not (cmd == "check" and np.abs(c).max() > 2**20):
             assert at_a == at_b, (cmd, argvs(c)[cmd], pts.tolist(), c.tolist())
 
@@ -268,4 +271,4 @@ def test_counts_at_their_caps_keep_the_contract():
     argvs = (["sweep", "-", "--from=-1", "--to=1", f"--steps={cli._MAX_STEPS}"],
              ["check", "-", f"--points={cli._MAX_POINTS}"])
     for argv in argvs:
-        assert _check_contract(argv, {"dim": 1, "points": [[0]]}, twice=False) == 0
+        assert _check_contract(argv, {"dim": 1, "points": [[0]]}, twice=False)[0] == 0

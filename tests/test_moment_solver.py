@@ -145,6 +145,25 @@ def test_every_error_class_survives_pickle(two_state):
     assert back.beta == report.beta and back.entropy == report.entropy
 
 
+def test_a_pickled_report_carries_its_set_as_constructor_arguments():
+    # the frame and the hull and beta = 0 memos are derived from the points: a
+    # load rebuilds the frame bit for bit and leaves the memos empty, so the
+    # pickle is about the size of the points (224 kB here when it held them all)
+    A = mg.new_state_set(2, [[i, j] for i in range(63) for j in range(63)], [f"s{i}" for i in range(63 * 63)])
+    report = mg.invert_mean_energy(A, [20.25, 40.5])
+    assert A._hull is not None and A._start is not None
+    data = pickle.dumps(report)
+    labels = len(pickle.dumps(A.labels))
+    assert len(data) < A.points.nbytes + labels + 4096
+    back = pickle.loads(data)
+    B = back._set
+    assert B == A and B.labels == A.labels and B._hull is None and B._start is None
+    for name in ("_vh", "_span", "_unit_t", "_origin", "_coords"):
+        assert getattr(B, name).tobytes() == getattr(A, name).tobytes(), name
+    assert (B._exp, B.affine_dim, B.is_lattice) == (A._exp, A.affine_dim, A.is_lattice)
+    assert back.beta == report.beta and back.entropy.hex() == report.entropy.hex()
+
+
 def test_report_entropy_is_the_kernels_at_its_beta(square, two_state):
     # the report holds no weights: its entropy is read from the Gibbs kernel at its beta
     for A, t in ((square, [0.25, 0.6]), (two_state, [0.5]), (two_state, [1e-6])):

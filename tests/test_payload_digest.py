@@ -21,7 +21,7 @@ from conftest import ROOT
 sys.path.insert(0, str(ROOT / "tools"))
 import payload_diff  # noqa: E402
 
-DIGEST = "e8e488711933393dbde9a4561e1e661ace36e68742fa8becca0149eff00fc765"
+DIGEST = "ae8e63efc5cc2793cc2a05c7410405abd1a3b918d78ae176508216928ccf254b"
 
 
 def test_fast_corpus_digest():

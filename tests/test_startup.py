@@ -21,6 +21,9 @@ SUBMODULES = (
     "duality", "errors", "gibbs", "microstates", "moment_solver", "polytope", "state_space", "toric",
 )
 BASE = {"cli", "errors", "state_space"}  # every command parses its document
+# numpy.random (6 MB of RSS and about 10 ms, `hashlib` through `secrets`) loads only
+# for the Philox stream of `microstates` and the grid of `check`
+RANDOM = {"microstates", "check"}
 LOADS = {
     "forward": {"gibbs"},
     "sweep": {"gibbs"},
@@ -125,3 +128,4 @@ def test_each_command_loads_only_its_modules(probes, command):
     package = sorted(m for m in loaded if m.startswith("momentgibbs."))
     assert package == sorted(f"momentgibbs.{m}" for m in BASE | LOADS[command])
     assert "numpy" in loaded
+    assert ("numpy.random" in loaded) == (command in RANDOM)

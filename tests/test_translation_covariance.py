@@ -14,7 +14,8 @@ beta with the differences x - x_h about the heaviest state h, ranked in the
 frame, and those differences are exact for an integer set and its translate,
 so the probabilities, the entropy and the Legendre residual keep every bit
 too; only log Z moves, by -(beta, c) plus the rounding of the shift
--(beta, x_h + c) that every state shares.
+-(beta, x_h + c) that every state shares. `limit` ranks its ties among the
+frame pairings, so its face is the same on a set and its translate.
 """
 
 import json
@@ -149,6 +150,29 @@ def test_gibbs_weights_keep_their_bits_and_log_z_moves_by_the_shift():
             assert gap <= 1.01 * bound
             checked += 1
     assert checked == 24 * len(SHIFTS)
+
+
+def test_limit_ties_are_ranked_alike_on_translates():
+    # ties are ranked in the frame: in caller units the pairings of the 2^40
+    # translate round by ulp(2^40 / 3), and state 3 once fell out of its face
+    pts = np.array([[0, 4], [1, 3], [2, 2], [3, 1], [4, 0], [0, 0]], float)
+    direction = [-0.3333333333333333] * 2
+    want = mg.min_face(mg.new_state_set(2, pts), direction)
+    got = mg.min_face(mg.new_state_set(2, pts + 2.0**40), direction)
+    assert want.indices == got.indices == (0, 1, 2, 3, 4)
+    assert got.barycenter.tolist() == (want.barycenter + 2.0**40).tolist() == [2.0**40 + 2] * 2
+    # the value stays the caller-unit minimum
+    assert (want.value, got.value) == (min(pts @ direction), min((pts + 2.0**40) @ direction))
+    faces = ties = 0
+    for rng, pts in _integer_sets():
+        A = mg.new_state_set(pts.shape[1], pts)
+        for c, B in _translates(rng, pts):
+            for d in rng.integers(-2, 3, size=(4, A.dim)) / 3:
+                if d.any():
+                    face = mg.min_face(A, d).indices
+                    assert mg.min_face(B, d).indices == face, (pts.tolist(), c.tolist(), d.tolist())
+                    faces, ties = faces + 1, ties + (len(face) > 1)
+    assert faces > 300 and ties > 30
 
 
 def _grid_doc(offset):

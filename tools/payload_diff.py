@@ -22,8 +22,9 @@ The corpus is generated, and every document goes to `cli.main` on stdin:
 - every command on every data/ file, as tests/test_cli.py runs them;
 - the edge documents of tests/test_cli.py, and those below: duplicates, NaN,
   10**400, non-UTF-8 bytes, d = 7, the `limit` overflow sets, a span target
-  next to a far point and the same set moved by 2^40, and a `sweep` whose
-  first failing step is not in its first block of rows;
+  next to a far point and the same set moved by 2^40, a `sweep` whose
+  first failing step is not in its first block of rows, and a `microstates`
+  whose draws span three sampling blocks and a remainder;
 - for each of the benchmark seeds in SEEDS: the `cli-small` and `cli-large`
   argvs of perfbench/workloads.py, and `invert` on its `invert-hull` lattice
   sets (affine dimension 2 to 6, N up to 1600), one argv per target.
@@ -83,6 +84,10 @@ _EXTRA_DOCS = {
         json.dumps({"dim": 2, "points": [[x + 2**40, y + 2**40] for x, y in
                                          [[0, 4], [1, 3], [2, 2], [3, 1], [4, 0], [0, 0]]]}).encode(),
         [["limit", "--direction=-0.3333333333333333,-0.3333333333333333"]],
+    ),
+    # three blocks of 2**16 draws and a remainder of 5: counts summed across blocks
+    "three_state_3_blocks": (
+        b'{"dim":1,"points":[[0],[1],[2]]}', [["microstates", f"--total={3 * 2**16 + 5}", "--seed=5", "--beta=0.5"]],
     ),
     # 300 states at 1e300: log Z = -(beta, x_h) + ... overflows once beta passes about
     # 1.8e8, at step 1200 of 2000, past the first block of rows
