@@ -7,9 +7,9 @@ contract so counts freeze across platforms:
   * bit generator: numpy's Philox4x64-10 counter-based generator, keyed
     directly with the user seed (counter starts at zero);
   * one uniform double per particle via the 53-bit conversion of
-    ``Generator.random``, drawn in blocks of 2**16 (512 KiB of doubles, so
-    4e6 draws peak at about 1 MiB under tracemalloc, against 16.7 MiB at
-    2**20); the counts do not depend on the block size;
+    ``Generator.random``, drawn in blocks of 2**16 (512 KiB of doubles: 4e6
+    draws peak at about 1 MiB under tracemalloc); the counts do not depend on
+    the block size;
   * each particle is placed by right-bisecting the inclusive cumulative sums
     of the probabilities (the last edge pinned to 1.0); the counts are
     computed per block from the sorted draws, which places them the same way.

@@ -21,7 +21,7 @@ SUBMODULES = (
     "duality", "errors", "gibbs", "microstates", "moment_solver", "polytope", "state_space", "toric",
 )
 BASE = {"cli", "errors", "state_space"}  # every command parses its document
-# numpy.random (6 MB of RSS and about 10 ms, `hashlib` through `secrets`) loads only
+# numpy.random (6 MB of RSS and 10-20 ms, `hashlib` through `secrets`) loads only
 # for the Philox stream of `microstates` and the grid of `check`
 RANDOM = {"microstates", "check"}
 LOADS = {
