@@ -7,9 +7,9 @@ contract so counts freeze across platforms:
   * bit generator: numpy's Philox4x64-10 counter-based generator, keyed
     directly with the user seed (counter starts at zero);
   * one uniform double per particle via the 53-bit conversion of
-    ``Generator.random``, drawn in blocks of 2**16 (512 KiB of doubles: 4e6
-    draws peak at about 1 MiB under tracemalloc); the counts do not depend on
-    the block size;
+    ``Generator.random``, drawn in blocks of 16 draws per state within
+    [2**16, 2**20] (4e6 draws on two states peak at about 1 MiB under
+    tracemalloc); the counts do not depend on the block size;
   * each particle is placed by right-bisecting the inclusive cumulative sums
     of the probabilities (the last edge pinned to 1.0); the counts are
     computed per block from the sorted draws, which places them the same way.
@@ -32,10 +32,11 @@ from .state_space import StateSet, _read_only, _value_eq
 
 GENERATOR_NAME = "philox4x64-10"
 
-# Draws per block: memory stays O(block) for any total, and the stream hands
-# out the same doubles in the same order whatever the block size. 2**16 is the
-# smallest power at which a fresh process's RSS reaches its floor.
-_BLOCK = 2**16
+# Draws per block: memory stays O(block) for any total, and the stream hands out
+# the same doubles in the same order whatever the block size. 16 draws per state
+# keep each block's bisection of the N edges below its sort; 2**16 is where a
+# fresh process's RSS reached its floor, and 2**20 (8 MiB of doubles) the cap.
+_BLOCK, _MAX_BLOCK = 2**16, 2**20
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,9 @@ def sample_counts(p: Distribution, total: int, seed: int) -> MicrostateCounts:
     edges = np.cumsum(p.probs)
     edges[-1] = 1.0
     counts = np.zeros(len(p), dtype=np.int64)
-    for start in range(0, total, _BLOCK):
-        draws = rng.random(min(_BLOCK, total - start))
+    block = min(max(_BLOCK, 16 * len(p)), _MAX_BLOCK)
+    for start in range(0, total, block):
+        draws = rng.random(min(block, total - start))
         draws.sort()
         # every draw is below the last edge, 1.0, so the draws below each edge
         # fix every bin: right bisection places exactly the differences there

@@ -238,15 +238,15 @@ def _span_violation(Q: Polytope, p: np.ndarray) -> float:
 def min_face(A: StateSet, direction) -> FaceResult:
     """States minimizing the pairing with `direction`, tied within 1e-9 of the
     pairings' spread, taken from their halves so it is finite at every magnitude
-    (a zero direction ties every state). Ties are ranked in the set's frame where
-    every pairing is finite; `value` is the minimum in caller units."""
+    (a zero direction ties every state). Ties are ranked on the differences from
+    x_0 in the set's unit where every pairing is finite; `value` is in caller units."""
     d = covector_array(direction, A.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         pairings = A.points @ d
     value = float(pairings.min())
     if np.all(np.isfinite(pairings)):
-        # in the frame, integer translates pair the same exact differences from x_0
-        pairings = A._coords.T @ (A._span.T @ _unit_covector(d)[0])
+        # full differences from x_0 in the unit 2^k: exact on translates, off-span parts kept
+        pairings = (A._unit_t.T - A._origin) @ _unit_covector(d)[0]
     else:
         # a pairing overflowed: in the set's unit 2^k and d's own power of two
         # the pairings are finite and exact multiples of the true ones

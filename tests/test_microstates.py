@@ -103,6 +103,23 @@ def test_sampling_memory_is_bounded(two_state):
     assert peak < 2 * 2**20
 
 
+def test_blocks_take_16_draws_per_state_within_their_bounds(monkeypatch):
+    # each block also bisects all N edges: at 10**6 states and blocks of 2**16,
+    # 10**8 draws took 46 s against 6 s at 2**20; the cap keeps memory at 2**20
+    sizes = []
+
+    class Recording(np.random.Generator):
+        def random(self, size):
+            sizes.append(size)
+            return super().random(size)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    for n_states, block in ((2, 2**16), (4000, 2**16), (2**13, 2**17), (2**17, 2**20)):
+        sizes.clear()
+        mg.sample_counts(uniform(n_states), 2 * block + 5, 1)
+        assert sizes == [block, block, 5]
+
+
 def test_counts_near_expectation(two_state):
     p = mg.Distribution([0.5, 0.5], two_state)
     c = mg.sample_counts(p, 10**5, 2026)

@@ -441,6 +441,21 @@ def test_min_face_square(square):
     assert everything.barycenter == pytest.approx([0.5, 0.5])
 
 
+def test_min_face_ranks_the_part_of_a_degenerate_set_off_its_span():
+    # affine dimension 1 within the rank tolerance: state 1 lies 1e-12 off the
+    # span's line, and only it minimizes (x, (0, 1))
+    A = mg.new_state_set(2, [[0, 0], [1, -1e-12], [2, 0]])
+    assert A.affine_dim == 1
+    face = mg.min_face(A, [0.0, 1.0])
+    assert face.indices == (1,)
+    assert face.value == -1e-12
+    assert face.barycenter.tolist() == [1.0, -1e-12]
+    # a direction normal to an exactly collinear set pairs every state to 0
+    face = mg.min_face(mg.new_state_set(2, [[0, 0], [1, 2], [2, 4]]), [2.0, -1.0])
+    assert face.indices == (0, 1, 2)
+    assert (face.value, face.barycenter.tolist()) == (0.0, [1.0, 2.0])
+
+
 def test_min_face_with_overflowing_pairings():
     # the pairings are -inf and inf: the ties come from the exact scaled pairings
     face = mg.min_face(mg.new_state_set(1, [[-1.7e308], [1.7e308]]), [10.0])

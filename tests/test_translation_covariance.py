@@ -15,7 +15,8 @@ frame, and those differences are exact for an integer set and its translate,
 so the probabilities, the entropy and the Legendre residual keep every bit
 too; only log Z moves, by -(beta, c) plus the rounding of the shift
 -(beta, x_h + c) that every state shares. `limit` ranks its ties among the
-frame pairings, so its face is the same on a set and its translate.
+differences from the first state in the unit 2^k, so its face is the same
+on a set and its translate.
 """
 
 import json
@@ -153,8 +154,8 @@ def test_gibbs_weights_keep_their_bits_and_log_z_moves_by_the_shift():
 
 
 def test_limit_ties_are_ranked_alike_on_translates():
-    # ties are ranked in the frame: in caller units the pairings of the 2^40
-    # translate round by ulp(2^40 / 3), and state 3 once fell out of its face
+    # ties are ranked on exact differences in the unit: in caller units the 2^40
+    # translate's pairings round by ulp(2^40 / 3), and state 3 fell out of its face
     pts = np.array([[0, 4], [1, 3], [2, 2], [3, 1], [4, 0], [0, 0]], float)
     direction = [-0.3333333333333333] * 2
     want = mg.min_face(mg.new_state_set(2, pts), direction)
